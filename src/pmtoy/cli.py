@@ -9,8 +9,8 @@ Exit codes are stable across commands: 0 pass, 1 violations found,
 2 usage error, 3 search budget exhausted without full coverage.  With no
 --output the report goes to stdout; the PMTOY_REPORT_DIR environment
 variable supplies a default report directory.  Reports with the same
-command, configuration and seed are byte-identical except for the
-elapsed-time field.
+command and configuration (for `simulate`, the same seed) are
+byte-identical except for the elapsed-time field.
 """
 
 from __future__ import annotations
@@ -22,15 +22,27 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import pauli
 from .extension import ALIASES, extended_machine, four_state_machine
 from .machine import MealyMachine, step
-from .toy import spekkens_machine
-from .verify import FAMILIES, SearchOutcome, VerificationReport, search_machines, verify_machine
+from .toy import SignTable, spekkens_machine
+from .verify import (
+    FAMILIES,
+    SearchOutcome,
+    VerificationReport,
+    json_int,
+    search_machines,
+    verify_machine,
+)
 
-BUILTIN_MACHINES = ("spekkens16", "extended32", "extended32-randomized", "paper4")
+_BUILDERS = {
+    "spekkens16": spekkens_machine,
+    "extended32": extended_machine,
+    "extended32-randomized": lambda: extended_machine(randomized=True),
+    "paper4": four_state_machine,
+}
+BUILTIN_MACHINES = tuple(_BUILDERS)
 
 
 class UsageError(Exception):
@@ -38,63 +50,47 @@ class UsageError(Exception):
 
 
 def build_machine(selector: str) -> MealyMachine:
-    """A builtin machine by name, or any machine from its JSON file."""
-    if selector == "spekkens16":
-        return spekkens_machine()
-    if selector == "extended32":
-        return extended_machine(randomized=False)
-    if selector == "extended32-randomized":
-        return extended_machine(randomized=True)
-    if selector == "paper4":
-        return four_state_machine()
-    if os.path.exists(selector):
+    """A builtin machine by name, or a machine over the nine PM observables from its JSON file."""
+    if selector in _BUILDERS:
+        return _BUILDERS[selector]()
+    if not os.path.exists(selector):
+        raise UsageError(
+            f"unknown machine {selector!r}; expected one of {', '.join(BUILTIN_MACHINES)} "
+            "or a machine JSON file"
+        )
+    try:
         with open(selector) as f:
-            try:
-                return MealyMachine.from_json(f.read())
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise UsageError(f"cannot load machine from {selector}: {exc}") from None
-    raise UsageError(
-        f"unknown machine {selector!r}; expected one of {', '.join(BUILTIN_MACHINES)} "
-        "or a machine JSON file"
-    )
+            m = MealyMachine.from_json(f.read())
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise UsageError(f"cannot load machine from {selector}: {exc}") from None
+    bad = [n for n in m.inputs if not isinstance(n, str) or n not in pauli.OBSERVABLES]
+    if bad:
+        raise UsageError(f"machine inputs in {selector} are not PM observables: {bad}")
+    if sorted(m.inputs) != sorted(pauli.OBSERVABLE_NAMES):
+        raise UsageError(
+            f"machine inputs in {selector} must be the nine PM observables, each once: "
+            f"{list(m.inputs)}"
+        )
+    return m
 
 
-@dataclass
-class RunConfig:
-    command: str
-    machine: str | None = None
-    depth: int = 6
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    start: str | None = None
-    seq: str | None = None
-    family: str | None = None
-    budget: int = 200_000
-
-    def validate(self) -> None:
-        if self.depth < 1:
-            raise UsageError("depth must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError("seed must be an unsigned 64-bit value")
-        if self.budget < 1:
-            raise UsageError("budget must be >= 1")
-
-
-def _write_report(cfg: RunConfig, default_name: str, text: str) -> None:
-    path = cfg.output
+def _write_report(args: argparse.Namespace, default_name: str, text: str) -> None:
+    path = args.output
     if path is None and os.environ.get("PMTOY_REPORT_DIR"):
         path = os.path.join(os.environ["PMTOY_REPORT_DIR"], default_name)
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {path}: {exc}") from None
         print(f"report written to {path}")
     else:
         sys.stdout.write(text)
 
 
-def _report_json(report: VerificationReport) -> str:
-    return report.to_json()
+def _json(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _report_csv(report: VerificationReport) -> str:
@@ -122,7 +118,7 @@ def _report_text(report: VerificationReport) -> str:
     lines = [
         f"machine: {report.machine}",
         f"depth: {report.depth}",
-        f"sequences checked: {report.sequences_checked}",
+        f"sequences checked: {json_int(report.sequences_checked)}",
         f"violations: {len(report.violations)}",
     ]
     for v in report.violations:
@@ -138,19 +134,22 @@ def _report_text(report: VerificationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    m = build_machine(cfg.machine or "")
-    report = verify_machine(m, cfg.depth)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
-    render = {"json": _report_json, "csv": _report_csv, "text": _report_text}[cfg.format]
-    _write_report(cfg, f"verify-{m.name}-depth{cfg.depth}.{ext}", render(report))
+def cmd_verify(args: argparse.Namespace) -> int:
+    m = build_machine(args.machine)
+    report = verify_machine(m, args.depth)
+    ext, render = {
+        "json": ("json", VerificationReport.to_json),
+        "csv": ("csv", _report_csv),
+        "text": ("txt", _report_text),
+    }[args.format]
+    _write_report(args, f"verify-{m.name}-depth{args.depth}.{ext}", render(report))
     return 0 if report.passed else 1
 
 
-def cmd_ks_scan(cfg: RunConfig) -> int:
+def cmd_ks_scan(args: argparse.Namespace) -> int:
     summary = pauli.ks_scan_summary()
-    if cfg.format == "json":
-        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    if args.format == "json":
+        text = _json(summary)
     else:
         lines = [
             f"sign tables scanned: {summary['tables']}",
@@ -164,7 +163,7 @@ def cmd_ks_scan(cfg: RunConfig) -> int:
             f"six-product values seen: {summary['six_product_values']}",
         ]
         text = "\n".join(lines) + "\n"
-    _write_report(cfg, f"ks-scan.{'json' if cfg.format == 'json' else 'txt'}", text)
+    _write_report(args, f"ks-scan.{'json' if args.format == 'json' else 'txt'}", text)
     return 0
 
 
@@ -176,19 +175,17 @@ def _resolve_start(m: MealyMachine, start: str) -> int:
     raise UsageError(f"unknown start state {start!r} for machine {m.name}")
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    m = build_machine(cfg.machine or "")
-    tokens = [t.strip() for t in (cfg.seq or "").split(",") if t.strip()]
+def cmd_simulate(args: argparse.Namespace) -> int:
+    m = build_machine(args.machine)
+    tokens = [t.strip() for t in args.seq.split(",") if t.strip()]
     if not tokens:
         raise UsageError("empty measurement sequence")
     for t in tokens:
         if t not in pauli.OBSERVABLES:
             raise UsageError(f"unknown observable: {t!r}")
-    if cfg.start is None:
-        raise UsageError("--start is required")
-    state = _resolve_start(m, cfg.start)
-    rng = random.Random(cfg.seed)
-    lines = [f"machine: {m.name}  seed: {cfg.seed}"]
+    state = _resolve_start(m, args.start)
+    rng = random.Random(args.seed)
+    lines = [f"machine: {m.name}  seed: {args.seed}"]
     for n, token in enumerate(tokens, start=1):
         before = m.states[state]
         try:
@@ -207,69 +204,51 @@ def _dump_dict(m: MealyMachine) -> dict:
     pos = {name: i for i, name in enumerate(m.inputs)}
     states = []
     for s, label in enumerate(m.states):
-        rows = [
-            [m.outputs[s][pos[name]] for name in grid_row]
-            for grid_row in pauli.GRID_NAMES
-        ]
-        compact = "/".join(
-            "".join("+" if v == +1 else "-" for v in row) for row in rows
+        table = SignTable(
+            tuple(tuple(m.outputs[s][pos[name]] for name in row) for row in pauli.GRID_NAMES)
         )
-        products = {}
-        for ctx, positions in pauli.CONTEXT_POSITIONS.items():
-            p = 1
-            for r, c in positions:
-                p *= rows[r][c]
-            products[ctx] = p
-        deviations = [
-            ctx for ctx, sign in pauli.PRESCRIBED_SIGN.items() if products[ctx] != sign
-        ]
-        alias = next(
-            (a for a, st in ALIASES.items() if st.label == label), None
-        )
+        products = table.context_products()
         states.append(
             {
                 "label": label,
-                "alias": alias,
-                "table": compact,
+                "alias": next((a for a, st in ALIASES.items() if st.label == label), None),
+                "table": table.compact(),
                 "context_products": products,
-                "qm_deviation": deviations,
+                "qm_deviation": [
+                    ctx for ctx, sign in pauli.PRESCRIBED_SIGN.items() if products[ctx] != sign
+                ],
             }
         )
     return {"machine": m.name, "states": states}
 
 
-def cmd_dump(cfg: RunConfig) -> int:
-    m = build_machine(cfg.machine or "")
+def cmd_dump(args: argparse.Namespace) -> int:
+    m = build_machine(args.machine)
     data = _dump_dict(m)
-    if cfg.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-        _write_report(cfg, f"dump-{m.name}.json", text)
+    if args.format == "json":
+        _write_report(args, f"dump-{m.name}.json", _json(data))
         return 0
     lines = [f"machine: {m.name} ({len(data['states'])} states)"]
     for st in data["states"]:
         name = st["label"] + (f" ({st['alias']})" if st["alias"] else "")
-        prods = " ".join(
-            f"{ctx}={st['context_products'][ctx]:+d}"
-            for ctx in ("row1", "row2", "row3", "col1", "col2", "col3")
-        )
+        prods = " ".join(f"{ctx}={p:+d}" for ctx, p in st["context_products"].items())
         dev = ",".join(st["qm_deviation"]) or "none"
         lines.append(f"{name:<14} {st['table']}  {prods}  deviation: {dev}")
-    _write_report(cfg, f"dump-{m.name}.txt", "\n".join(lines) + "\n")
+    _write_report(args, f"dump-{m.name}.txt", "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    if cfg.family not in FAMILIES:
+def cmd_search(args: argparse.Namespace) -> int:
+    if args.family not in FAMILIES:
         raise UsageError(
-            f"unknown family {cfg.family!r}; expected one of {', '.join(FAMILIES)}"
+            f"unknown family {args.family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    outcome = search_machines(FAMILIES[cfg.family](), cfg.depth, budget=cfg.budget)
-    if cfg.format == "json":
-        text = json.dumps(outcome.to_dict(), indent=2, sort_keys=True) + "\n"
-        _write_report(cfg, f"search-{cfg.family}-depth{cfg.depth}.json", text)
+    outcome = search_machines(FAMILIES[args.family](), args.depth, budget=args.budget)
+    if args.format == "json":
+        ext, text = "json", _json(outcome.to_dict())
     else:
-        text = _search_text(outcome)
-        _write_report(cfg, f"search-{cfg.family}-depth{cfg.depth}.txt", text)
+        ext, text = "txt", _search_text(outcome)
+    _write_report(args, f"search-{args.family}-depth{args.depth}.{ext}", text)
     return 0 if outcome.exhausted else 3
 
 
@@ -301,25 +280,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default)
 
     p = sub.add_parser("verify", help="exhaustively verify a machine to a depth bound")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--machine", required=True, help="builtin name or machine JSON file")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     add_common(p, ["json", "csv", "text"], "json")
 
     p = sub.add_parser("ks-scan", help="scan all 512 noncontextual sign tables")
+    p.set_defaults(handler=cmd_ks_scan)
     add_common(p, ["json", "text"], "text")
 
     p = sub.add_parser("simulate", help="run one seeded measurement sequence")
+    p.set_defaults(handler=cmd_simulate)
     p.add_argument("--machine", required=True)
     p.add_argument("--start", required=True, help="state label (aliases a-d accepted)")
     p.add_argument("--seq", required=True, help="comma-separated observables, e.g. Z1,Z1Z2")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("dump", help="dump all state tables with context products")
+    p.set_defaults(handler=cmd_dump)
     p.add_argument("--machine", required=True)
     add_common(p, ["text-table", "text", "json"], "text-table")
 
     p = sub.add_parser("search", help="search completions of a candidate family")
+    p.set_defaults(handler=cmd_search)
     p.add_argument("--family", required=True, help=", ".join(FAMILIES))
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--budget", type=int, default=200_000)
@@ -329,30 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        machine=getattr(args, "machine", None),
-        depth=getattr(args, "depth", 6),
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "json"),
-        start=getattr(args, "start", None),
-        seq=getattr(args, "seq", None),
-        family=getattr(args, "family", None),
-        budget=getattr(args, "budget", 200_000),
-    )
-    handlers = {
-        "verify": cmd_verify,
-        "ks-scan": cmd_ks_scan,
-        "simulate": cmd_simulate,
-        "dump": cmd_dump,
-        "search": cmd_search,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        cfg.validate()
-        return handlers[cfg.command](cfg)
+        if getattr(args, "depth", 1) < 1:
+            raise UsageError("depth must be >= 1")
+        if not 0 <= getattr(args, "seed", 0) < 2**64:
+            raise UsageError("seed must be an unsigned 64-bit value")
+        if getattr(args, "budget", 1) < 1:
+            raise UsageError("budget must be >= 1")
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

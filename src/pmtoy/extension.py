@@ -15,7 +15,7 @@ Y1Y2 never triggers: its value c*z1*z2*x1*x2 is already invariant under
 every trigger, and giving it a trigger of its own would break the
 repeatability of its row-3 neighbours (a c+x2 flip changes Z1X2's value,
 a c+z2 flip changes X1Z2's).  The exhaustive verifier is the arbiter
-that this rule reproduces the quantum predictions.
+that this rule passes the (R)+(C) gate.
 
 The four-state sub-machine drawn over states a, b, c, d is provided as a
 regression fixture, including the known discrepancy between the drawn

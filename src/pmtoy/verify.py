@@ -1,6 +1,6 @@
 """Constraint checking, exhaustive verification, and machine-family search.
 
-A machine reproduces the quantum predictions for the PM square iff every
+A machine passes the (R)+(C) gate for the PM square iff every
 positive-probability run satisfies two constraints:
 
   (R) repeatability: two measurements of the same observable separated
@@ -8,6 +8,12 @@ positive-probability run satisfies two constraints:
   (C) context products: three consecutive measurements of the three
       distinct members of a context multiply to the prescribed sign
       (+1 everywhere except the last column's -1).
+
+Passing the gate is necessary for reproducing the quantum predictions but
+not sufficient.  From ++++/col, `extended32` emits Z1, Z2, X1X2, Z1Z2 ->
+(+1, +1, +1, -1), a run that satisfies (R) and (C), even read strictly,
+yet has quantum probability 0: Z1Z2 is fixed by the earlier Z1 and Z2
+outcomes and commutes with X1X2.
 
 `check_transcript` applies the constraints literally to one run.
 `verify_machine` certifies all input sequences up to a depth bound from
@@ -40,21 +46,31 @@ from .extension import (
     variant_machine,
 )
 from .machine import MealyMachine, Transcript, deterministic_row
-from .toy import ALL_ONTIC, apply_flips
+from .toy import ALL_ONTIC, COMMUTING, apply_flips
 
 REPEATABILITY = "repeatability"
 CONTEXT_PRODUCT = "context_product"
 
-_COMPAT: Mapping[tuple[str, str], bool] = {
-    (a, b): pauli.commutes(pauli.OBSERVABLES[a], pauli.OBSERVABLES[b])
-    for a in pauli.OBSERVABLE_NAMES
-    for b in pauli.OBSERVABLE_NAMES
-}
+# Python's default limit on int -> str conversion, in decimal digits.
+_INT_STR_DIGITS = 4300
 
 
 def compatible(a: str, b: str) -> bool:
     """True iff the two named PM observables commute."""
-    return _COMPAT[a, b]
+    return b in COMMUTING[a]
+
+
+def json_int(n: int) -> int | str:
+    """n itself below 4 300 digits, else its exact decimal digits as a string.
+
+    Either form renders with `json.dumps` and `str`, and reads back with
+    `json.loads`, under Python's default int -> str digit limit.
+    """
+    if abs(n) < 10**_INT_STR_DIGITS:
+        return n
+    import decimal  # here, not at the top: only counts past the limit need it
+
+    return str(decimal.Decimal(n))
 
 
 @dataclass(frozen=True)
@@ -170,7 +186,7 @@ class VerificationReport:
         return {
             "machine": self.machine,
             "depth": self.depth,
-            "sequences_checked": self.sequences_checked,
+            "sequences_checked": json_int(self.sequences_checked),
             "violations": [v.to_dict() for v in self.violations],
             "elapsed_ms": self.elapsed_ms,
             "notes": list(self.notes),
@@ -310,7 +326,8 @@ def verify_machine(
     notes = tuple(m.notes)
     if truncated:
         notes = notes + (f"violation list truncated at {max_violations} entries",)
-    total = len(start_indices) * sum(k**d for d in range(1, depth + 1))
+    # n * (k + k^2 + ... + k^depth), in closed form.
+    total = len(start_indices) * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
     return VerificationReport(
         machine=m.name,
         depth=depth,

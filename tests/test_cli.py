@@ -1,12 +1,17 @@
 """Command-line surface: exit codes, report formats, and reproducibility."""
 
+import decimal
 import json
 import re
 import subprocess
 import sys
 
+import pytest
+
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
 from pmtoy.cli import main
+from pmtoy.extension import four_state_machine
+from pmtoy.machine import MealyMachine
 from pmtoy.toy import spekkens_machine
 
 
@@ -64,12 +69,35 @@ def test_verify_reports_byte_identical_except_elapsed(capsys):
     outs = []
     for _ in range(2):
         code, out, _ = run_cli(
-            capsys, "verify", "--machine", "spekkens16", "--depth", "3", "--seed", "7"
+            capsys, "verify", "--machine", "spekkens16", "--depth", "3"
         )
         assert code == 1
         outs.append(out)
     scrub = lambda s: re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": X', s)
     assert scrub(outs[0]) == scrub(outs[1])
+
+
+def test_verify_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--machine", "paper4", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_verify_huge_depth_renders_exact_count(capsys):
+    expected = 32 * 9 * (9**5000 - 1) // 8  # 4 772 digits
+    code, out, _ = run_cli(capsys, "verify", "--machine", "extended32", "--depth", "5000")
+    assert code == 0
+    count = json.loads(out)["sequences_checked"]
+    assert decimal.Decimal(count) == expected
+    code, out, _ = run_cli(
+        capsys, "verify", "--machine", "extended32", "--depth", "5000", "--format", "text"
+    )
+    assert code == 0
+    assert f"sequences checked: {count}\n" in out
+    code, out, _ = run_cli(capsys, "verify", "--machine", "extended32", "--depth", "100000")
+    assert code == 0
+    assert len(json.loads(out)["sequences_checked"]) == 95426
 
 
 def test_verify_csv_format(capsys):
@@ -99,6 +127,43 @@ def test_verify_malformed_machine_file_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--machine", str(path))
     assert code == 2
     assert "cannot load machine" in err
+
+
+def _machine_file(tmp_path, inputs):
+    m = four_state_machine()
+    path = tmp_path / "machine.json"
+    path.write_text(
+        MealyMachine(m.name, m.states, inputs, m.outputs, m.transitions).to_json()
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("dump",),
+        ("simulate", "--start", "a", "--seq", "Z1Z2"),
+    ],
+)
+def test_machine_with_non_pm_inputs_exit_two(capsys, tmp_path, argv):
+    names = four_state_machine().inputs
+    for inputs, bad in (
+        (("Q7",) + names[1:], "Q7"),
+        (names[:-1] + (names[0],), "each once"),
+    ):
+        path = _machine_file(tmp_path, inputs)
+        code, out, err = run_cli(capsys, argv[0], "--machine", path, *argv[1:])
+        assert code == 2
+        assert bad in err
+        assert out == ""
+
+
+def test_unwritable_report_path_exit_two(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, _, err = run_cli(capsys, "ks-scan", "--output", str(target))
+    assert code == 2
+    assert "cannot write report" in err
 
 
 def test_ks_scan_text_and_json(capsys):

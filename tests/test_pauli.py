@@ -202,3 +202,4 @@ def test_ks_scan_summary_parity():
     assert sum(summary["minus_product_histogram"].values()) == 512
     assert all(int(k) % 2 == 0 for k in summary["minus_product_histogram"])
     assert summary["six_product_values"] == [1]
+    assert summary["minus_product_histogram"] == {"0": 16, "2": 240, "4": 240, "6": 16}

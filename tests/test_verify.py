@@ -1,6 +1,8 @@
 """Transcript constraints, exhaustive verification, refutations, and search."""
 
+import decimal
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from pmtoy import pauli
 from pmtoy.extension import extended_machine, four_state_machine
-from pmtoy.machine import MealyMachine, Transcript, enumerate_transcripts
+from pmtoy.machine import MealyMachine, Transcript, deterministic_row, enumerate_transcripts
+from pmtoy.pauli import qm_outcome_tree, tree_transcripts
 from pmtoy.toy import spekkens_machine
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
     REPEATABILITY,
     CandidateFamily,
+    VerificationReport,
     check_transcript,
     compatible,
     family_all32_bit2,
@@ -70,6 +74,44 @@ def test_check_transcript_strict_reading_detects_interleaved_context():
     assert len(strict) == 1
     assert strict[0].positions == (0, 2, 3)
     assert strict[0].expected == -1
+
+
+def test_gate_passes_a_run_quantum_mechanics_forbids():
+    # (R)+(C) is necessary for the quantum predictions, not sufficient.
+    seq = ("Z1", "Z2", "X1X2", "Z1Z2")
+    witness = (+1, +1, +1, -1)
+    runs = {t.outputs: t for t in enumerate_transcripts(extended_machine(), "++++/col", seq)}
+    assert runs[witness].probability > 0
+    assert check_transcript(runs[witness]) == []
+    assert check_transcript(runs[witness], strict_contexts=True) == []
+    qm = dict(tree_transcripts(qm_outcome_tree(seq)))
+    assert witness not in qm
+    assert sum(qm.values()) == pytest.approx(1.0)
+
+
+def test_sequences_checked_closed_form():
+    for depth in range(1, 8):
+        report = verify_machine(four_state_machine(), depth)
+        assert report.sequences_checked == 4 * sum(9**d for d in range(1, depth + 1))
+    one_input = MealyMachine(
+        name="z1-only",
+        states=("s",),
+        inputs=("Z1",),
+        outputs=((+1,),),
+        transitions=((deterministic_row(0),),),
+    )
+    assert verify_machine(one_input, 5).sequences_checked == 5
+
+
+def test_report_renders_counts_past_the_int_digit_limit():
+    def rendered(n):
+        report = VerificationReport("m", 1, n, (), 0.0)
+        return json.loads(report.to_json())["sequences_checked"]
+
+    assert rendered(10**4300 - 1) == 10**4300 - 1
+    big = 10**4300 + 12345
+    assert isinstance(rendered(big), str)
+    assert decimal.Decimal(rendered(big)) == big
 
 
 def test_verify_spekkens_finds_column3_violation():
