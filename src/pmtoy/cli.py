@@ -43,6 +43,9 @@ _BUILDERS = {
     "paper4": four_state_machine,
 }
 BUILTIN_MACHINES = tuple(_BUILDERS)
+# Past depth 4 the product BFS of every builtin is done; a larger bound only
+# grows the closed-form sequence count, whose decimal digits cost quadratic time.
+MAX_DEPTH = 100_000
 
 
 class UsageError(Exception):
@@ -243,7 +246,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown family {args.family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    outcome = search_machines(FAMILIES[args.family](), args.depth, budget=args.budget)
+    try:
+        outcome = search_machines(FAMILIES[args.family](), args.depth, budget=args.budget)
+    except ValueError as exc:  # the test set is over MAX_SEARCH_SEQUENCES
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         ext, text = "json", _json(outcome.to_dict())
     else:
@@ -282,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify a machine to a depth bound")
     p.set_defaults(handler=cmd_verify)
     p.add_argument("--machine", required=True, help="builtin name or machine JSON file")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument(
+        "--depth", type=int, default=6, help=f"sequence length bound, 1 to {MAX_DEPTH}"
+    )
     add_common(p, ["json", "csv", "text"], "json")
 
     p = sub.add_parser("ks-scan", help="scan all 512 noncontextual sign tables")
@@ -316,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "depth", 1) < 1:
             raise UsageError("depth must be >= 1")
+        if getattr(args, "depth", 1) > MAX_DEPTH:
+            raise UsageError(f"depth must be <= {MAX_DEPTH}")
         if not 0 <= getattr(args, "seed", 0) < 2**64:
             raise UsageError("seed must be an unsigned 64-bit value")
         if getattr(args, "budget", 1) < 1:

@@ -18,11 +18,22 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 TransitionRow = tuple[tuple[int, Fraction], ...]
+
+# The form `to_json_dict` writes a weight in, with a bounded length, so
+# reading a file never hands `Fraction` an exponent or a huge numeral.
+_PROB = re.compile(r"[0-9]{1,32}(/[0-9]{1,32})?")
+
+
+def _parse_prob(text: object) -> Fraction:
+    if not isinstance(text, str) or not _PROB.fullmatch(text):
+        raise ValueError(f"transition prob is not digits[/digits]: {text!r:.40}")
+    return Fraction(text)
 
 
 def uniform_row(successors: Iterable[int]) -> TransitionRow:
@@ -155,7 +166,7 @@ class MealyMachine:
         transitions = tuple(
             tuple(
                 tuple(
-                    (index[entry["to"]], Fraction(entry["prob"]))
+                    (index[entry["to"]], _parse_prob(entry["prob"]))
                     for entry in data["transitions"][label][inp]
                 )
                 for inp in inputs

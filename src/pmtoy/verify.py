@@ -18,10 +18,10 @@ outcomes and commutes with X1X2.
 `check_transcript` applies the constraints literally to one run.
 `verify_machine` certifies all input sequences up to a depth bound from
 every start state by a breadth-first search over (machine state,
-constraint monitor) product states: the monitor carries exactly the
-pending repeatable values and the last two steps, which is all the
-constraints can ever look at, so memoizing product states is equivalent
-to enumerating all 9^L sequences while staying tractable at depth 6.
+constraint monitor) product states.  The monitor holds exactly what the
+constraints can ever look at, the pending repeatable values and the last
+two steps, coded as four small ints; so memoizing product states, each
+one int key, is equivalent to enumerating all 9^L sequences.
 
 `search_machines` does a pruned depth-first search over deterministic
 transition tables for a fixed candidate state set, branching lazily on
@@ -208,6 +208,13 @@ def verify_machine(
     breadth-first, so witnesses are depth-minimal; violations are
     deduplicated by (kind, inputs at the breach positions, expected,
     observed).  Undefined transitions of partial machines end the branch.
+
+    A product state is (s, K, V, e2, e1): bit i of K marks a pending value
+    for input i and bit i of V says it is -1; e2 and e1 code the last two
+    steps as 1 + 2i + (v < 0), 0 for none.  The (R) breaches at a node are
+    K & (V ^ neg[s]), neg[s] marking the inputs s answers -1; a (C) breach
+    is one lookup, third[e2, e1] -> (input, required output).  Each breach
+    is re-checked by `check_transcript`'s rules on its witness run.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -217,77 +224,71 @@ def verify_machine(
             raise ValueError(f"machine input is not a PM observable: {nm!r}")
     t0 = time.perf_counter()
     k = len(names)
-    compat_idx = [[compatible(a, b) for b in names] for a in names]
-    clear_lists = [
-        tuple(j for j in range(k) if not compat_idx[i][j]) for i in range(k)
+
+    def step_code(i: int, v: int) -> int:
+        return 1 + 2 * i + (v < 0)
+
+    # keep[i]: the other inputs whose pending values survive measuring i.
+    keep = [
+        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
+        for i in range(k)
     ]
-    ctx_signs: dict[frozenset[int], int] = {}
+    # third[e2, e1]: the input completing a context after those two steps,
+    # and the output its prescribed sign requires there.
+    third: dict[tuple[int, int], tuple[int, int]] = {}
     for names3, sign in pauli.CONTEXT_SETS.items():
         if all(nm in names for nm in names3):
-            ctx_signs[frozenset(names.index(nm) for nm in names3)] = sign
+            for i2, i1, i in itertools.permutations([names.index(nm) for nm in names3]):
+                for v2, v1 in itertools.product((1, -1), repeat=2):
+                    third[step_code(i2, v2), step_code(i1, v1)] = (i, sign * v2 * v1)
 
     out = m.outputs
-    succ = [[tuple(t for t, _ in row) for row in srow] for srow in m.transitions]
+    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in out]
+    # moves[s]: per input, (i, bit, keep[i], output, step code, successors).
+    moves = [
+        [
+            (i, 1 << i, keep[i], out[s][i], step_code(i, out[s][i]), tuple(t for t, _ in row))
+            for i, row in enumerate(srow)
+        ]
+        for s, srow in enumerate(m.transitions)
+    ]
     if starts is None:
         start_indices = list(range(len(m.states)))
     else:
         start_indices = [m.state_index(s) for s in starts]
 
-    nodes: list[tuple[int, tuple[int, ...], tuple]] = []
-    parents: list[tuple[int, int, int]] = []
-    seen: dict[tuple, int] = {}
-
-    def new_node(key: tuple, parent: tuple[int, int, int]) -> int:
-        nid = len(nodes)
-        seen[key] = nid
-        nodes.append(key)
-        parents.append(parent)
-        return nid
-
-    init_pending = (0,) * k
-    level: list[int] = []
-    for s in start_indices:
-        key = (s, init_pending, ())
-        if key not in seen:
-            level.append(new_node(key, (-1, -1, 0)))
+    # The seen key packs (s, K, V, e2, e1) into one int, each code in eb bits.
+    eb = (2 * k + 1).bit_length()
+    s_shift = 2 * k + 2 * eb
+    roots = list(dict.fromkeys(start_indices))  # node j < len(roots) starts at roots[j]
+    parents: list[tuple[int, int, int]] = [(-1, -1, 0)] * len(roots)
+    seen = {s << s_shift for s in roots}
+    level = [(j, s, 0, 0, 0, 0) for j, s in enumerate(roots)]
 
     found: dict[tuple, Violation] = {}
     truncated = False
 
     def witness(nid: int, i: int, v: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
-        seq: list[str] = []
-        outs: list[int] = []
-        cur = nid
-        while True:
-            p, pi, pv = parents[cur]
-            if p == -1:
-                break
+        seq, outs = [names[i]], [v]
+        p, pi, pv = parents[nid]
+        while p != -1:
             seq.append(names[pi])
             outs.append(pv)
-            cur = p
-        seq.reverse()
-        outs.reverse()
-        seq.append(names[i])
-        outs.append(v)
-        return m.states[nodes[cur][0]], tuple(seq), tuple(outs)
+            nid = p
+            p, pi, pv = parents[nid]
+        return m.states[roots[nid]], tuple(reversed(seq)), tuple(reversed(outs))
 
     for d in range(depth):
         expand = d + 1 < depth
-        nxt: list[int] = []
-        for nid in level:
-            s, pending, last2 = nodes[nid]
-            for i in range(k):
-                v = out[s][i]
-                bad = False
-                if pending[i] != 0 and pending[i] != v:
-                    bad = True
-                elif len(last2) == 2:
-                    (i2, v2), (i1, v1) = last2
-                    if i != i1 and i != i2 and i1 != i2:
-                        sign = ctx_signs.get(frozenset((i, i1, i2)))
-                        if sign is not None and v * v1 * v2 != sign:
-                            bad = True
-                if bad:
+        nxt: list[tuple[int, int, int, int, int, int]] = []
+        for nid, s, K, V, e2, e1 in level:
+            ns = neg[s]
+            bad = K & (V ^ ns)
+            ctx = third.get((e2, e1))
+            if ctx is not None and out[s][ctx[0]] != ctx[1]:
+                bad |= 1 << ctx[0]
+            for i, bit, kp, v, code, ts in moves[s]:
+                if bad & bit:
                     if len(found) < max_violations:
                         start_label, seq, outs = witness(nid, i, v)
                         for vio in _check_run(seq, outs, start_label):
@@ -301,17 +302,16 @@ def verify_machine(
                     else:
                         truncated = True
                     continue
-                if expand and succ[s][i]:
-                    new_pending = list(pending)
-                    for j in clear_lists[i]:
-                        new_pending[j] = 0
-                    new_pending[i] = v
-                    npend = tuple(new_pending)
-                    nlast = (last2 + ((i, v),))[-2:]
-                    for t in succ[s][i]:
-                        key = (t, npend, nlast)
+                if expand and ts:
+                    nK = (K & kp) | bit
+                    nV = (V & kp) | (ns & bit)
+                    low = (((nK << k | nV) << eb | e1) << eb) | code
+                    for t in ts:
+                        key = t << s_shift | low
                         if key not in seen:
-                            nxt.append(new_node(key, (nid, i, v)))
+                            seen.add(key)
+                            nxt.append((len(parents), t, nK, nV, e1, code))
+                            parents.append((nid, i, v))
         level = nxt
         if not level:
             break
@@ -417,14 +417,16 @@ def _all_successors(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tuple(full for _ in pauli.OBSERVABLE_NAMES) for _ in range(n))
 
 
+def _ext_outputs(states: Sequence[ExtOnticState]) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in states)
+
+
 def family_paper4() -> CandidateFamily:
     states = tuple(ALIASES.values())
     return CandidateFamily(
         name="paper4",
         labels=tuple(ALIASES),
-        outputs=tuple(
-            tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in states
-        ),
+        outputs=_ext_outputs(states),
         base_domains=_all_successors(len(states)),
     )
 
@@ -435,9 +437,7 @@ def family_cplus16() -> CandidateFamily:
     return CandidateFamily(
         name="cplus16",
         labels=tuple(s.label for s in states),
-        outputs=tuple(
-            tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in states
-        ),
+        outputs=_ext_outputs(states),
         base_domains=_all_successors(len(states)),
     )
 
@@ -461,9 +461,7 @@ def family_all32_bit2() -> CandidateFamily:
     return CandidateFamily(
         name="all32-bit2",
         labels=tuple(s.label for s in ALL_EXT),
-        outputs=tuple(
-            tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in ALL_EXT
-        ),
+        outputs=_ext_outputs(ALL_EXT),
         base_domains=tuple(domains),
     )
 
@@ -475,6 +473,9 @@ FAMILIES: Mapping[str, Callable[[], CandidateFamily]] = {
 }
 
 _CTX_SEARCH_ORDER = ("col3", "row3", "row1", "row2", "col1", "col2")
+
+# Most test sequences (start state x shape) `search_machines` will build.
+MAX_SEARCH_SEQUENCES = 100_000
 
 
 def _reduced_sequences(depth: int) -> list[tuple[tuple[int, ...], tuple]]:
@@ -497,7 +498,6 @@ def _reduced_sequences(depth: int) -> list[tuple[tuple[int, ...], tuple]]:
             sign = pauli.PRESCRIBED_SIGN[ctx]
             for perm in itertools.permutations(idxs):
                 seqs.append((perm, ("ctx", sign)))
-    if depth >= 3:
         for a in range(k):
             comp = [b for b in range(k) if b != a and compatible(names[a], names[b])]
             for mid_len in range(1, depth - 1):
@@ -528,9 +528,17 @@ def search_machines(
     number of search nodes; if it runs out the outcome reports
     exhausted=False.  With value preservation disabled the successor
     domains are not pre-filtered (breaches then surface through the
-    [A, A] sequences at depth >= 2).
+    [A, A] sequences at depth >= 2).  Raises ValueError, before building
+    anything, if the test set would exceed MAX_SEARCH_SEQUENCES.
     """
     n = len(family.labels)
+    # len(_reduced_sequences(L)) is 45 + 3 * (4^(L-1) - 4) for L >= 3; past
+    # L = 12 the exponent is capped, the count being over the limit anyway.
+    shapes = 0 if depth < 2 else 9 if depth == 2 else 45 + 3 * (4 ** (min(depth, 12) - 1) - 4)
+    if n * shapes > MAX_SEARCH_SEQUENCES:
+        raise ValueError(
+            f"search at depth {depth} needs over {MAX_SEARCH_SEQUENCES} test sequences"
+        )
     k = len(pauli.OBSERVABLE_NAMES)
     outputs = family.outputs
     if value_preservation:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
+from pmtoy import verify
 from pmtoy.cli import main
 from pmtoy.extension import four_state_machine
 from pmtoy.machine import MealyMachine
@@ -53,9 +54,10 @@ def test_verify_unknown_machine_exit_two(capsys):
 
 
 def test_verify_bad_depth_exit_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "--machine", "extended32", "--depth", "0")
-    assert code == 2
-    assert "depth" in err
+    for depth in ("0", "100001"):
+        code, _, err = run_cli(capsys, "verify", "--machine", "extended32", "--depth", depth)
+        assert code == 2
+        assert "depth" in err
 
 
 def test_verify_paper4_reports_label_discrepancy(capsys):
@@ -276,6 +278,21 @@ def test_search_budget_exhaustion_exit_three(capsys):
         capsys, "search", "--family", "all32-bit2", "--depth", "4", "--budget", "5"
     )
     assert code == 3
+
+
+def test_search_test_set_over_the_limit_exit_two(capsys, monkeypatch):
+    # paper4 at depth 9 needs 4 * 196 641 test sequences.  The refusal comes
+    # before any is built, so the one-node budget is never reached.
+    def build(depth):
+        raise AssertionError("test set built before the size check")
+
+    monkeypatch.setattr(verify, "_reduced_sequences", build)
+    code, out, err = run_cli(
+        capsys, "search", "--family", "paper4", "--depth", "9", "--budget", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "test sequences" in err
 
 
 def test_search_unknown_family_exit_two(capsys):

@@ -116,6 +116,8 @@ def workdir(tmp_path_factory):
         ("prob", "1/0"),
         ("prob", INF),
         ("prob", "x"),
+        ("prob", "1e0"),
+        ("prob", "1e999999999"),
         (None, "[" * 100_000),
     ],
 )

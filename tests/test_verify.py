@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtoy import pauli
-from pmtoy.extension import extended_machine, four_state_machine
+from pmtoy.extension import extended_machine, four_state_machine, variant_machine
 from pmtoy.machine import MealyMachine, Transcript, deterministic_row, enumerate_transcripts
 from pmtoy.pauli import qm_outcome_tree, tree_transcripts
 from pmtoy.toy import spekkens_machine
@@ -311,21 +311,25 @@ def test_value_preservation_sets_coincide_at_depth_two():
     assert with_vp.completions == without_vp.completions
 
 
-def _random_value_preserving_machine(seed, stochastic=False):
+# Inputs that are not the nine observables in canonical order: a shuffle,
+# and a proper subset holding col3 and row3 whole and row1/col1 in part.
+SHUFFLED = ("X1Z2", "Z2", "Y1Y2", "Z1", "X2", "Z1Z2", "X1X2", "Z1X2", "X1")
+SUBSET = ("X1Z2", "Y1Y2", "Z1", "X1X2", "Z1X2", "Z1Z2")
+
+
+def _random_value_preserving_machine(seed, stochastic=False, inputs=pauli.OBSERVABLE_NAMES):
     import random
 
     from pmtoy.extension import ALL_EXT, ext_value
     from pmtoy.machine import deterministic_row, uniform_row
 
     rng = random.Random(seed)
-    outputs = tuple(
-        tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in ALL_EXT
-    )
+    outputs = tuple(tuple(ext_value(s, o) for o in inputs) for s in ALL_EXT)
     n = len(ALL_EXT)
     transitions = []
     for s in range(n):
         row = []
-        for i in range(9):
+        for i in range(len(inputs)):
             domain = [t for t in range(n) if outputs[t][i] == outputs[s][i]]
             if stochastic:
                 row.append(uniform_row(rng.sample(domain, 2)))
@@ -335,57 +339,97 @@ def _random_value_preserving_machine(seed, stochastic=False):
     return MealyMachine(
         name=f"random-{seed}",
         states=tuple(s.label for s in ALL_EXT),
-        inputs=pauli.OBSERVABLE_NAMES,
+        inputs=tuple(inputs),
         outputs=outputs,
         transitions=tuple(transitions),
     )
+
+
+def _key(v):
+    return (v.kind, tuple(v.sequence[p] for p in v.positions), v.expected, v.observed)
 
 
 def _literal_violation_keys(m, depth):
     # Independent oracle: enumerate every full-depth sequence from every
     # start and apply the literal transcript checks to every branch.  On a
     # total machine this also covers all shorter sequences, since their
-    # violations recur inside every extension.
-    keys = set()
+    # violations recur inside every extension.  first_keys holds the keys
+    # of the breaches at each branch's first breaching step, which are
+    # exactly what a search that stops a branch at its first breach sees.
+    keys, first_keys = set(), set()
     lengths = []
     for start in range(len(m.states)):
         label = m.states[start]
         for seq in itertools.product(m.inputs, repeat=depth):
             for t in enumerate_transcripts(m, start, seq):
-                for v in check_transcript(t, label):
-                    keys.add(
-                        (
-                            v.kind,
-                            tuple(v.sequence[p] for p in v.positions),
-                            v.expected,
-                            v.observed,
-                        )
-                    )
+                vs = check_transcript(t, label)
+                first = min((max(v.positions) for v in vs), default=None)
+                for v in vs:
+                    keys.add(_key(v))
+                    if max(v.positions) == first:
+                        first_keys.add(_key(v))
                     lengths.append(max(v.positions) + 1)
-    return keys, (min(lengths) if lengths else None)
+    return keys, first_keys, (min(lengths) if lengths else None)
 
 
 @pytest.mark.parametrize(
-    "seed,stochastic",
-    [(11, False), (22, False), (33, False), (44, False), (55, True)],
+    "seed,stochastic,inputs",
+    [
+        pytest.param(11, False, pauli.OBSERVABLE_NAMES, id="11-False"),
+        pytest.param(22, False, pauli.OBSERVABLE_NAMES, id="22-False"),
+        pytest.param(33, False, pauli.OBSERVABLE_NAMES, id="33-False"),
+        pytest.param(44, False, pauli.OBSERVABLE_NAMES, id="44-False"),
+        pytest.param(55, True, pauli.OBSERVABLE_NAMES, id="55-True"),
+        pytest.param(66, False, SHUFFLED, id="66-False-shuffled"),
+        pytest.param(77, True, SHUFFLED, id="77-True-shuffled"),
+        pytest.param(88, False, SUBSET, id="88-False-subset"),
+        pytest.param(99, True, SUBSET, id="99-True-subset"),
+    ],
 )
-def test_verifier_agrees_with_brute_force_on_random_machines(seed, stochastic):
+def test_verifier_agrees_with_brute_force_on_random_machines(seed, stochastic, inputs):
     # Cross-validation of the monitor-based verifier against literal
     # enumeration, on machines that are mostly broken in random ways.
-    m = _random_value_preserving_machine(seed, stochastic)
+    m = _random_value_preserving_machine(seed, stochastic, inputs)
     depth = 3
     report = verify_machine(m, depth, max_violations=10_000)
-    literal_keys, literal_min = _literal_violation_keys(m, depth)
+    literal_keys, first_keys, literal_min = _literal_violation_keys(m, depth)
     assert report.passed == (not literal_keys)
-    bfs_keys = {
-        (v.kind, tuple(v.sequence[p] for p in v.positions), v.expected, v.observed)
-        for v in report.violations
-    }
     # The BFS prunes behind a breach, so it may see fewer distinct keys,
-    # never spurious ones; shortest-witness depth must agree exactly.
-    assert bfs_keys <= literal_keys
+    # never spurious ones: exactly those at each branch's first breach.
+    # Shortest-witness depth must agree exactly.
+    assert {_key(v) for v in report.violations} == first_keys
     if literal_keys:
         assert min(len(v.sequence) for v in report.violations) == literal_min
+
+
+@pytest.mark.parametrize("kind", ["single_trigger", "same_destination"])
+def test_violation_keys_do_not_depend_on_input_order(kind):
+    # The same machine with its input columns reordered: each dedup key
+    # names its observables, so the key set must not change.
+    m = variant_machine(kind)
+    idx = [m.inputs.index(o) for o in SHUFFLED]
+    shuffled = MealyMachine(
+        name=m.name,
+        states=m.states,
+        inputs=SHUFFLED,
+        outputs=tuple(tuple(row[i] for i in idx) for row in m.outputs),
+        transitions=tuple(tuple(row[i] for i in idx) for row in m.transitions),
+    )
+    expected = {_key(v) for v in verify_machine(m, 4, max_violations=10_000).violations}
+    assert expected
+    got = {_key(v) for v in verify_machine(shuffled, 4, max_violations=10_000).violations}
+    assert got == expected
+
+
+def test_truncated_violation_list_is_a_noted_subset_of_the_full_list():
+    m = spekkens_machine()
+    full = verify_machine(m, 4, max_violations=10_000)
+    assert len(full.violations) > 3
+    assert not any("truncated" in note for note in full.notes)
+    short = verify_machine(m, 4, max_violations=3)
+    assert short.notes[-1] == "violation list truncated at 3 entries"
+    assert 3 <= len(short.violations) < len(full.violations)
+    assert set(short.violations) <= set(full.violations)
 
 
 def test_cplus16_nonexistence_has_an_independent_argument():
