@@ -9,27 +9,48 @@ noncontextual sign assignments.
 Every matrix entry occurring here is a dyadic Gaussian rational, so
 float64 complex arithmetic is exact; the tolerances below are contracts,
 not working margins.
+
+numpy is imported only where a matrix is built: by `pauli_matrix`,
+`PauliWord.matrix`, `context_product_sign`, `maximally_mixed`,
+`is_density_operator`, `qm_outcome_tree` and the first read of
+`SINGLE_QUBIT`.  The CLI, the machines and the verifier use only the
+names, contexts, commutation test and parity scans, so they never load it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PROB_TOL = 1e-12
 DENSITY_TOL = 1e-10
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
 
-SINGLE_QUBIT: Mapping[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+
+@functools.cache
+def _single_qubit() -> Mapping[str, np.ndarray]:
+    import numpy as np
+
+    return {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+
+def __getattr__(name: str):
+    # PEP 562: `SINGLE_QUBIT` is built on first access, so importing this
+    # module does not import numpy.
+    if name == "SINGLE_QUBIT":
+        return _single_qubit()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +66,10 @@ class PauliWord:
                 raise ValueError(f"not a Pauli letter: {f!r}")
 
     def matrix(self) -> np.ndarray:
-        return np.kron(SINGLE_QUBIT[self.factor1], SINGLE_QUBIT[self.factor2])
+        import numpy as np
+
+        single = _single_qubit()
+        return np.kron(single[self.factor1], single[self.factor2])
 
     def __str__(self) -> str:
         return self.factor1 + self.factor2
@@ -154,6 +178,8 @@ def context_product_sign(context: str, square: PMSquare = PM_SQUARE) -> int:
     Raises ValueError if the product is not proportional to the identity,
     which would mean the grid itself is wrong.
     """
+    import numpy as np
+
     words = square.words_in(context)
     product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
     for sign in (+1, -1):
@@ -163,11 +189,15 @@ def context_product_sign(context: str, square: PMSquare = PM_SQUARE) -> int:
 
 
 def maximally_mixed() -> np.ndarray:
+    import numpy as np
+
     return np.eye(4, dtype=complex) / 4
 
 
 def is_density_operator(rho: np.ndarray, tol: float = DENSITY_TOL) -> bool:
     """Hermitian, unit trace, positive semidefinite within tol."""
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         return False
@@ -195,14 +225,17 @@ class OutcomeNode:
 
 
 def _projectors(word: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     m = word.matrix()
     eye = np.eye(4)
     return (eye + m) / 2, (eye - m) / 2
 
 
-_PROJECTOR_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {
-    str(word): _projectors(word) for word in OBSERVABLES.values()
-}
+@functools.cache
+def _projector_table() -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
+    """Eigenprojectors of the nine PM observables, keyed by Pauli word."""
+    return {str(word): _projectors(word) for word in OBSERVABLES.values()}
 
 
 def _as_word(obs: str | PauliWord) -> PauliWord:
@@ -224,18 +257,21 @@ def qm_outcome_tree(
     P = (identity +/- M)/2; surviving branches are renormalized and
     branches with probability below PROB_TOL are pruned.
     """
+    import numpy as np
+
     if len(seq) == 0:
         raise ValueError("measurement sequence must be non-empty")
     rho = maximally_mixed() if initial is None else np.asarray(initial, dtype=complex)
     if not is_density_operator(rho):
         raise ValueError("initial state is not a density operator")
     words = [_as_word(o) for o in seq]
+    projector_table = _projector_table()
 
     def build(state: np.ndarray, remaining: list[PauliWord]) -> OutcomeNode:
         if not remaining:
             return OutcomeNode(rho=state, branches=())
         word = remaining[0]
-        cached = _PROJECTOR_CACHE.get(str(word))
+        cached = projector_table.get(str(word))
         plus, minus = cached if cached is not None else _projectors(word)
         branches = []
         for outcome, proj in ((+1, plus), (-1, minus)):

@@ -326,8 +326,8 @@ def verify_machine(
     notes = tuple(m.notes)
     if truncated:
         notes = notes + (f"violation list truncated at {max_violations} entries",)
-    # n * (k + k^2 + ... + k^depth), in closed form.
-    total = len(start_indices) * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
+    # n * (k + k^2 + ... + k^depth) for n distinct starts, in closed form.
+    total = len(roots) * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
     return VerificationReport(
         machine=m.name,
         depth=depth,

@@ -101,6 +101,9 @@ def test_sequences_checked_closed_form():
         transitions=((deterministic_row(0),),),
     )
     assert verify_machine(one_input, 5).sequences_checked == 5
+    # A repeated start is one root of the BFS: 9 + 81 + 729 sequences, not 3x that.
+    starts = ["++++/col", "++++/col", 0]
+    assert verify_machine(extended_machine(), 3, starts=starts).sequences_checked == 819
 
 
 def test_report_renders_counts_past_the_int_digit_limit():
