@@ -24,13 +24,16 @@ two steps, coded as four small ints; so memoizing product states, each
 one int key, is equivalent to enumerating all 9^L sequences.
 
 `search_machines` does a pruned depth-first search over deterministic
-transition tables for a fixed candidate state set, branching lazily on
-the transition a blocked test sequence needs next and pruning as soon as
-any determined sequence violates (R) or (C).
+transition tables for a fixed candidate state set on the same product
+graph, branching lazily on a transition that a reached product state
+needs next and pruning as soon as a reached product state breaches (R) or
+(C).  Both use one monitor, `_monitor`; `_check_run` stays the literal
+reference.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import time
@@ -196,6 +199,38 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _monitor(
+    names: Sequence[str], outputs: Sequence[Sequence[int]]
+) -> tuple[list[int], dict[tuple[int, int], tuple[int, int]], list[int], list[list[int]]]:
+    """The (R)+(C) monitor's tables, for these inputs and per-state outputs.
+
+    A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
+    input i and bit i of V says it is -1; e2 and e1 code the last two steps
+    as 1 + 2i + (v < 0), 0 for none.  At state s the (R) breaches are
+    K & (V ^ neg[s]), neg[s] marking the inputs s answers -1; a (C) breach
+    is one lookup, third[e2, e1] -> (input, required output).  Measuring i
+    keeps the pending values of keep[i] and appends the step codes[s][i].
+    """
+    k = len(names)
+
+    def code(i: int, v: int) -> int:
+        return 1 + 2 * i + (v < 0)
+
+    keep = [
+        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
+        for i in range(k)
+    ]
+    third: dict[tuple[int, int], tuple[int, int]] = {}
+    for names3, sign in pauli.CONTEXT_SETS.items():
+        if all(nm in names for nm in names3):
+            for i2, i1, i in itertools.permutations([names.index(nm) for nm in names3]):
+                for v2, v1 in itertools.product((1, -1), repeat=2):
+                    third[code(i2, v2), code(i1, v1)] = (i, sign * v2 * v1)
+    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in outputs]
+    codes = [[code(i, v) for i, v in enumerate(row)] for row in outputs]
+    return keep, third, neg, codes
+
+
 def verify_machine(
     m: MealyMachine,
     depth: int,
@@ -209,12 +244,9 @@ def verify_machine(
     deduplicated by (kind, inputs at the breach positions, expected,
     observed).  Undefined transitions of partial machines end the branch.
 
-    A product state is (s, K, V, e2, e1): bit i of K marks a pending value
-    for input i and bit i of V says it is -1; e2 and e1 code the last two
-    steps as 1 + 2i + (v < 0), 0 for none.  The (R) breaches at a node are
-    K & (V ^ neg[s]), neg[s] marking the inputs s answers -1; a (C) breach
-    is one lookup, third[e2, e1] -> (input, required output).  Each breach
-    is re-checked by `check_transcript`'s rules on its witness run.
+    A product state is (s, K, V, e2, e1), a machine state and a `_monitor`
+    state, packed into one int for the seen set.  Each breach is re-checked
+    by `check_transcript`'s rules on its witness run.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -224,30 +256,12 @@ def verify_machine(
             raise ValueError(f"machine input is not a PM observable: {nm!r}")
     t0 = time.perf_counter()
     k = len(names)
-
-    def step_code(i: int, v: int) -> int:
-        return 1 + 2 * i + (v < 0)
-
-    # keep[i]: the other inputs whose pending values survive measuring i.
-    keep = [
-        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
-        for i in range(k)
-    ]
-    # third[e2, e1]: the input completing a context after those two steps,
-    # and the output its prescribed sign requires there.
-    third: dict[tuple[int, int], tuple[int, int]] = {}
-    for names3, sign in pauli.CONTEXT_SETS.items():
-        if all(nm in names for nm in names3):
-            for i2, i1, i in itertools.permutations([names.index(nm) for nm in names3]):
-                for v2, v1 in itertools.product((1, -1), repeat=2):
-                    third[step_code(i2, v2), step_code(i1, v1)] = (i, sign * v2 * v1)
-
     out = m.outputs
-    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in out]
+    keep, third, neg, codes = _monitor(names, out)
     # moves[s]: per input, (i, bit, keep[i], output, step code, successors).
     moves = [
         [
-            (i, 1 << i, keep[i], out[s][i], step_code(i, out[s][i]), tuple(t for t, _ in row))
+            (i, 1 << i, keep[i], out[s][i], codes[s][i], tuple(t for t, _ in row))
             for i, row in enumerate(srow)
         ]
         for s, srow in enumerate(m.transitions)
@@ -474,39 +488,8 @@ FAMILIES: Mapping[str, Callable[[], CandidateFamily]] = {
 
 _CTX_SEARCH_ORDER = ("col3", "row3", "row1", "row2", "col1", "col2")
 
-# Most test sequences (start state x shape) `search_machines` will build.
-MAX_SEARCH_SEQUENCES = 100_000
-
-
-def _reduced_sequences(depth: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """Test sequences equivalent to full verification at the given depth.
-
-    Within depth L every minimal repeatability breach has the shape
-    [A, B1..Bk, A] with each Bi compatible with A, and every context
-    breach is a consecutive triple; both are run from every state, and
-    every state is a start, so checking just these shapes is equivalent
-    to checking all sequences of length <= L.  Sequences are ordered most
-    constraining first so the search prunes early, with the [A, A]
-    coverage shapes last.
-    """
-    names = pauli.OBSERVABLE_NAMES
-    k = len(names)
-    seqs: list[tuple[tuple[int, ...], tuple]] = []
-    if depth >= 3:
-        for ctx in _CTX_SEARCH_ORDER:
-            idxs = tuple(names.index(nm) for nm in pauli.CONTEXT_NAMES[ctx])
-            sign = pauli.PRESCRIBED_SIGN[ctx]
-            for perm in itertools.permutations(idxs):
-                seqs.append((perm, ("ctx", sign)))
-        for a in range(k):
-            comp = [b for b in range(k) if b != a and compatible(names[a], names[b])]
-            for mid_len in range(1, depth - 1):
-                for mids in itertools.product(comp, repeat=mid_len):
-                    seqs.append(((a, *mids, a), ("rep",)))
-    if depth >= 2:
-        for a in range(k):
-            seqs.append(((a, a), ("rep",)))
-    return seqs
+# A product key (s, K, V, e2, e1): a machine state and a `_monitor` state.
+_Key = tuple[int, int, int, int, int]
 
 
 class _Budget(Exception):
@@ -522,24 +505,25 @@ def search_machines(
 ) -> SearchOutcome:
     """All deterministic completions of the family passing depth-L checks.
 
-    Depth-first with incremental pruning: sequences blocked on an
-    unassigned transition wait on it; assigning a transition re-runs its
-    waiters and the branch dies on the first breach.  `budget` caps the
-    number of search nodes; if it runs out the outcome reports
-    exhausted=False.  With value preservation disabled the successor
-    domains are not pre-filtered (breaches then surface through the
-    [A, A] sequences at depth >= 2).  Raises ValueError, before building
-    anything, if the test set would exceed MAX_SEARCH_SEQUENCES.
+    Depth-first over transition tables on `verify_machine`'s product graph.
+    Each product key reached from some start under the partial table keeps
+    the least depth it is reached at, and a key below depth L - 1 whose
+    next step needs an unassigned (state, input) pair waits on it.
+    Assigning a pair wakes its waiters and propagates breadth-first, a key
+    reached again at a smaller depth expanding again; the branch dies as
+    soon as a reached key breaches (R) or (C), and an undo trail restores
+    the keys.  Keys carry no depth, so the graph saturates and a large L
+    costs what a small one does.  The search branches on the most recently
+    waited-on pair; each key waits on its inputs least preferred first,
+    preferring those distinct from and compatible with its last input,
+    then `_CTX_SEARCH_ORDER`.  `budget` caps the number of search nodes;
+    if it runs out the outcome reports exhausted=False.  With value
+    preservation disabled the successor domains are not pre-filtered ((R)
+    then enforces it on repeated inputs at depth >= 2).
     """
     n = len(family.labels)
-    # len(_reduced_sequences(L)) is 45 + 3 * (4^(L-1) - 4) for L >= 3; past
-    # L = 12 the exponent is capped, the count being over the limit anyway.
-    shapes = 0 if depth < 2 else 9 if depth == 2 else 45 + 3 * (4 ** (min(depth, 12) - 1) - 4)
-    if n * shapes > MAX_SEARCH_SEQUENCES:
-        raise ValueError(
-            f"search at depth {depth} needs over {MAX_SEARCH_SEQUENCES} test sequences"
-        )
-    k = len(pauli.OBSERVABLE_NAMES)
+    names = pauli.OBSERVABLE_NAMES
+    k = len(names)
     outputs = family.outputs
     if value_preservation:
         domains = [
@@ -551,83 +535,77 @@ def search_machines(
         ]
     else:
         domains = [list(row) for row in family.base_domains]
+    keep, third, neg, codes = _monitor(names, outputs)
+    ctx_order = [names.index(nm) for c in _CTX_SEARCH_ORDER for nm in pauli.CONTEXT_NAMES[c]]
+    least_first = list(dict.fromkeys(ctx_order))[::-1]
+    # register[e1]: the inputs a key whose last step code is e1 waits on,
+    # least preferred first.
+    register = [least_first]
+    for e1 in range(1, 2 * k + 1):
+        j = (e1 - 1) // 2
+        register.append(
+            sorted(least_first, key=lambda i: i != j and compatible(names[i], names[j]))
+        )
 
-    shapes = _reduced_sequences(depth)
-    seq_defs: list[tuple[int, tuple[int, ...], tuple]] = [
-        (start, seq, check) for start in range(n) for seq, check in shapes
-    ]
+    table = [[-1] * k for _ in range(n)]  # successor per (state, input), -1 unassigned
+    best: dict[_Key, int] = {}  # least depth of each reached key
+    trail: list[tuple[_Key, int | None]] = []  # (key, its previous depth), for undo
+    # Per machine state, its keys below depth L - 1: the waiters on its pairs.
+    expanding: list[list[_Key]] = [[] for _ in range(n)]
+    waited: list[tuple[int, int]] = []  # pairs in the order keys waited on them
+    queue: collections.deque[_Key] = collections.deque()
 
-    assign: dict[tuple[int, int], int] = {}
-    blocked_at: dict[int, tuple[int, int]] = {}
-    waiters: dict[tuple[int, int], set[int]] = {}
+    def reach(key: _Key, d: int) -> bool:
+        old = best.get(key)
+        if old is not None and old <= d:
+            return True
+        s, K, V, e2, e1 = key
+        if old is None:
+            ctx = third.get((e2, e1))
+            if K & (V ^ neg[s]) or (ctx is not None and outputs[s][ctx[0]] != ctx[1]):
+                return False
+        trail.append((key, old))
+        best[key] = d
+        if d < depth - 1:
+            expanding[s].append(key)
+            queue.append(key)
+        return True
 
-    def replay(sid: int):
-        start, seq, check = seq_defs[sid]
-        st = start
-        outs = []
-        last = len(seq) - 1
-        for pos, i in enumerate(seq):
-            outs.append(outputs[st][i])
-            if pos == last:
-                break
-            t = assign.get((st, i))
-            if t is None:
-                return (st, i)
-            st = t
-        if check[0] == "ctx":
-            prod = outs[0] * outs[1] * outs[2]
-            if prod != check[1]:
-                return "violated"
-        else:
-            if outs[0] != outs[-1]:
-                return "violated"
-        return None
+    def succ(key: _Key, i: int, t: int) -> _Key:
+        s, K, V, _, e1 = key
+        bit = 1 << i
+        return (t, (K & keep[i]) | bit, (V & keep[i]) | (neg[s] & bit), e1, codes[s][i])
 
-    for sid in range(len(seq_defs)):
-        res = replay(sid)
-        if res == "violated":
-            # No assignments yet, so the family's own outputs are already
-            # inconsistent; nothing can complete.
-            return SearchOutcome(family.name, depth, (), 0, True, 1, budget)
-        if res is not None:
-            blocked_at[sid] = res
-            waiters.setdefault(res, set()).add(sid)
+    def propagate() -> bool:
+        while queue:
+            key = queue.popleft()
+            s, d = key[0], best[key] + 1
+            for i in register[key[4]]:
+                t = table[s][i]
+                if t < 0:
+                    waited.append((s, i))
+                elif not reach(succ(key, i, t), d):
+                    return False
+        return True
 
-    def apply(pair: tuple[int, int], t: int):
-        assign[pair] = t
-        woken = sorted(waiters.pop(pair, set()))
-        processed: list[tuple[int, tuple[int, int] | None]] = []
-        for sid in woken:
-            res = replay(sid)
-            if res == "violated":
-                for psid, npair in reversed(processed):
-                    if npair is not None:
-                        waiters[npair].discard(psid)
-                    blocked_at[psid] = pair
-                for sid2 in woken:
-                    blocked_at[sid2] = pair
-                waiters[pair] = set(woken)
-                del assign[pair]
-                return None
-            if res is not None:
-                waiters.setdefault(res, set()).add(sid)
-                blocked_at[sid] = res
-                processed.append((sid, res))
+    def assign(s: int, i: int, t: int) -> bool:
+        table[s][i] = t
+        for key in expanding[s][:]:
+            if not reach(succ(key, i, t), best[key] + 1):
+                return False
+        return propagate()
+
+    def undo(trail_len: int, waited_len: int) -> None:
+        queue.clear()
+        del waited[waited_len:]
+        while len(trail) > trail_len:
+            key, old = trail.pop()
+            if best[key] < depth - 1:
+                expanding[key[0]].pop()
+            if old is None:
+                del best[key]
             else:
-                del blocked_at[sid]
-                processed.append((sid, None))
-        return (pair, woken, processed)
-
-    def undo(token) -> None:
-        pair, woken, processed = token
-        for sid, npair in reversed(processed):
-            if npair is not None:
-                waiters[npair].discard(sid)
-        for sid in woken:
-            blocked_at[sid] = pair
-        if woken:
-            waiters[pair] = set(woken)
-        del assign[pair]
+                best[key] = old
 
     machines: list[MealyMachine] = []
     completions = 0
@@ -639,19 +617,16 @@ def search_machines(
         completions += 1
         if len(machines) >= max_machines:
             return
-        if any(outputs[t][i] != outputs[s][i] for (s, i), t in assign.items()):
+        if any(outputs[table[s][i]][i] != outputs[s][i] for s, i in pair_order):
             # Only reachable with value preservation disabled at depth 1,
             # where nothing constrains the table; count it, keep no machine.
             return
         m = MealyMachine(
             name=f"{family.name}-completion-{completions}",
             states=family.labels,
-            inputs=pauli.OBSERVABLE_NAMES,
+            inputs=names,
             outputs=outputs,
-            transitions=tuple(
-                tuple(deterministic_row(assign[s, i]) for i in range(k))
-                for s in range(n)
-            ),
+            transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
         )
         report = verify_machine(m, depth)
         if not report.passed:
@@ -665,20 +640,29 @@ def search_machines(
         nodes += 1
         if nodes > budget:
             raise _Budget
-        if blocked_at:
-            pair = blocked_at[min(blocked_at)]
+        # Set aside the assigned pairs on top of `waited` until returning, so
+        # that its top is the most recent pair still waited on.
+        done = []
+        while waited and table[waited[-1][0]][waited[-1][1]] >= 0:
+            done.append(waited.pop())
+        free = (p for p in pair_order if table[p[0]][p[1]] < 0)
+        pair = waited[-1] if waited else next(free, None)
+        if pair is None:
+            realize()
         else:
-            pair = next((p for p in pair_order if p not in assign), None)
-            if pair is None:
-                realize()
-                return
-        for t in domains[pair[0]][pair[1]]:
-            token = apply(pair, t)
-            if token is None:
-                continue
-            dfs()
-            undo(token)
+            s, i = pair
+            for t in domains[s][i]:
+                marks = len(trail), len(waited)
+                if assign(s, i, t):
+                    dfs()
+                undo(*marks)
+            table[s][i] = -1
+        waited.extend(reversed(done))
 
+    # The roots cannot breach, and with nothing assigned they only wait.
+    for s in range(n):
+        reach((s, 0, 0, 0, 0), 0)
+    propagate()
     exhausted = True
     try:
         dfs()

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
-from pmtoy import verify
 from pmtoy.cli import main
 from pmtoy.extension import four_state_machine
 from pmtoy.machine import MealyMachine
@@ -280,19 +279,22 @@ def test_search_budget_exhaustion_exit_three(capsys):
     assert code == 3
 
 
-def test_search_test_set_over_the_limit_exit_two(capsys, monkeypatch):
-    # paper4 at depth 9 needs 4 * 196 641 test sequences.  The refusal comes
-    # before any is built, so the one-node budget is never reached.
-    def build(depth):
-        raise AssertionError("test set built before the size check")
-
-    monkeypatch.setattr(verify, "_reduced_sequences", build)
-    code, out, err = run_cli(
+def test_deep_search_stops_at_the_budget_and_finds_the_depth_four_machine(capsys):
+    # The product graph saturates, so a deep search stops at the node budget
+    # like a shallow one, and with the default budget it finds what depth 4
+    # finds.
+    code, out, _ = run_cli(
         capsys, "search", "--family", "paper4", "--depth", "9", "--budget", "1"
     )
-    assert code == 2
-    assert out == ""
-    assert "test sequences" in err
+    assert code == 3
+    assert json.loads(out)["exhausted"] is False
+    reports = {}
+    for depth in ("4", "100000"):
+        code, out, _ = run_cli(capsys, "search", "--family", "paper4", "--depth", depth)
+        assert code == 0
+        reports[depth] = json.loads(out)
+    assert reports["100000"]["completions"] == reports["4"]["completions"] == 1
+    assert reports["100000"]["machines"] == reports["4"]["machines"]
 
 
 def test_search_unknown_family_exit_two(capsys):

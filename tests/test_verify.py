@@ -218,28 +218,77 @@ def test_extended_machine_survives_the_refutation_search():
     assert verify_machine(extended_machine(False), 4).passed
 
 
-def test_search_rediscovers_the_diagram():
-    outcome = search_machines(family_paper4(), 4, budget=500_000)
+# The eight transitions drawn in the paper's four-state diagram.
+DIAGRAM_EDGES = (
+    ("a", "Z1Z2", "b"),
+    ("a", "X1X2", "c"),
+    ("b", "Z1X2", "d"),
+    ("b", "X1Z2", "a"),
+    ("c", "Z1X2", "a"),
+    ("c", "X1Z2", "d"),
+    ("d", "Z1Z2", "c"),
+    ("d", "X1X2", "b"),
+)
+
+
+@pytest.mark.parametrize("depth", [4, 7])
+def test_search_rediscovers_the_diagram(depth):
+    outcome = search_machines(family_paper4(), depth, budget=500_000)
     assert outcome.exhausted
     assert outcome.completions >= 1
     agreeing = [
         m
         for m in outcome.machines
         if all(
-            m.successors(src, obs) == (m.state_index(dst),)
-            for src, obs, _, dst in (
-                ("a", "Z1Z2", +1, "b"),
-                ("a", "X1X2", +1, "c"),
-                ("b", "Z1X2", -1, "d"),
-                ("b", "X1Z2", -1, "a"),
-                ("c", "Z1X2", +1, "a"),
-                ("c", "X1Z2", -1, "d"),
-                ("d", "Z1Z2", -1, "c"),
-                ("d", "X1X2", -1, "b"),
-            )
+            m.successors(src, obs) == (m.state_index(dst),) for src, obs, dst in DIAGRAM_EDGES
         )
     ]
     assert agreeing
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_search_completions_match_brute_force_verification(depth):
+    # paper4's states with the diagram's transitions, every undrawn one a
+    # self-loop, except that state a's six row-1 and row-2 transitions are
+    # free within value preservation: 256 tables, each verified on its own.
+    family = family_paper4()
+    names, outputs = pauli.OBSERVABLE_NAMES, family.outputs
+    n, k = len(family.labels), len(names)
+    fixed = [[s] * k for s in range(n)]
+    for src, obs, dst in DIAGRAM_EDGES:
+        fixed[family.labels.index(src)][names.index(obs)] = family.labels.index(dst)
+    free = {names.index(o) for o in ("Z1", "Z2", "Z1Z2", "X2", "X1", "X1X2")}
+    choices_a = [
+        tuple(t for t in range(n) if outputs[t][i] == outputs[0][i])
+        if i in free
+        else (fixed[0][i],)
+        for i in range(k)
+    ]
+    domains = (tuple(choices_a), *(tuple((t,) for t in row) for row in fixed[1:]))
+    outcome = search_machines(
+        CandidateFamily("a-free", family.labels, outputs, domains), depth, max_machines=1_000
+    )
+    assert outcome.exhausted
+    found = {
+        tuple(tuple(r[0][0] for r in row) for row in m.transitions) for m in outcome.machines
+    }
+    tables = [(row_a, *map(tuple, fixed[1:])) for row_a in itertools.product(*choices_a)]
+    passing = set()
+    for table in tables:
+        m = MealyMachine(
+            name="candidate",
+            states=family.labels,
+            inputs=names,
+            outputs=outputs,
+            transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
+        )
+        if verify_machine(m, depth).passed:
+            passing.add(table)
+    assert len(tables) == 256
+    assert outcome.completions == len(found) == len(passing)
+    assert found == passing
+    if depth == 3:
+        assert 0 < len(passing) < len(tables)
 
 
 def test_search_certifies_cplus_only_nonexistence():
@@ -248,9 +297,13 @@ def test_search_certifies_cplus_only_nonexistence():
     assert outcome.completions == 0
 
 
-def test_search_finds_the_skeleton_in_the_bit2_family():
-    outcome = search_machines(family_all32_bit2(), 4, budget=500_000)
+@pytest.mark.parametrize("depth", [4, 100_000])
+def test_search_finds_the_skeleton_in_the_bit2_family(depth):
+    outcome = search_machines(family_all32_bit2(), depth, budget=500_000)
     assert outcome.exhausted
+    # Loose bound, several times the nodes taken: a worse branching order
+    # shows here before it stalls a search.
+    assert outcome.nodes <= 3_381
     skeleton = extended_machine(False)
     assert any(
         m.transitions == skeleton.transitions and m.outputs == skeleton.outputs
@@ -290,8 +343,8 @@ def _two_state_family():
 def test_value_preservation_prunes_the_search_space():
     # At depth 1 nothing behavioral constrains the table, so disabling the
     # value-preservation filter must strictly enlarge the completion set.
-    # (At depth >= 2 the [A, A] sequences enforce it behaviorally and the
-    # two sets coincide.)
+    # (At depth >= 2 (R) on an input measured twice in a row enforces it
+    # behaviorally and the two sets coincide.)
     family = _two_state_family()
     budget = 2_000_000
     with_vp = search_machines(family, 1, budget=budget, max_machines=1)
