@@ -41,13 +41,13 @@ from .toy import (
     SignTable,
     ToyBitOntic,
     epistemic_update,
+    ontic_machine,
     spekkens_machine,
     table_of,
     toy_measure,
     toybit_measure,
 )
 from .verify import (
-    CandidateFamily,
     SearchOutcome,
     VerificationReport,
     Violation,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -63,18 +64,21 @@ def build_machine(selector: str) -> MealyMachine:
         )
     try:
         with open(selector) as f:
-            m = MealyMachine.from_json(f.read())
+            data = json.load(f)
+        # The inputs are checked before the machine is built, which would
+        # reject a repeated input without saying what the file must hold.
+        inputs = list(data["inputs"])
+        bad = [n for n in inputs if not isinstance(n, str) or n not in pauli.OBSERVABLES]
+        if bad:
+            raise UsageError(f"machine inputs in {selector} are not PM observables: {bad}")
+        if sorted(inputs) != sorted(pauli.OBSERVABLE_NAMES):
+            raise UsageError(
+                f"machine inputs in {selector} must be the nine PM observables, each once: "
+                f"{inputs}"
+            )
+        return MealyMachine.from_json_dict(data)
     except (OSError, KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise UsageError(f"cannot load machine from {selector}: {exc}") from None
-    bad = [n for n in m.inputs if not isinstance(n, str) or n not in pauli.OBSERVABLES]
-    if bad:
-        raise UsageError(f"machine inputs in {selector} are not PM observables: {bad}")
-    if sorted(m.inputs) != sorted(pauli.OBSERVABLE_NAMES):
-        raise UsageError(
-            f"machine inputs in {selector} must be the nine PM observables, each once: "
-            f"{list(m.inputs)}"
-        )
-    return m
 
 
 def _write_report(args: argparse.Namespace, default_name: str, text: str) -> None:
@@ -204,12 +208,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _dump_dict(m: MealyMachine) -> dict:
-    pos = {name: i for i, name in enumerate(m.inputs)}
     states = []
     for s, label in enumerate(m.states):
-        table = SignTable(
-            tuple(tuple(m.outputs[s][pos[name]] for name in row) for row in pauli.GRID_NAMES)
-        )
+        table = SignTable.from_values(functools.partial(m.output, s))
         products = table.context_products()
         states.append(
             {

@@ -24,19 +24,18 @@ b -> a edge label (-1) and state b's own X1Z2 table value (+1).
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from . import pauli
-from .machine import MealyMachine, deterministic_row, uniform_row
+from .machine import MealyMachine
 from .toy import (
     ALL_ONTIC,
-    COSET_FLIPS,
     OnticState,
     Sign,
     SignTable,
     apply_flips,
+    coset,
     observable_value,
-    table_of,
+    ontic_machine,
 )
 
 # Generator indices within OnticState: z1=0, z2=1, x1=2, x2=3.
@@ -85,8 +84,6 @@ ALIASES: Mapping[str, ExtOnticState] = {
     "d": ExtOnticState(OnticState(+1, -1, +1, -1), +1),
 }
 
-ALIAS_OF: Mapping[ExtOnticState, str] = {s: n for n, s in ALIASES.items()}
-
 
 def ext_value(s: ExtOnticState, name: str) -> Sign:
     v = observable_value(s.base, name)
@@ -94,10 +91,8 @@ def ext_value(s: ExtOnticState, name: str) -> Sign:
 
 
 def ext_table(s: ExtOnticState) -> SignTable:
-    """table_of(base) with the Y1Y2 entry multiplied by c."""
-    rows = [list(r) for r in table_of(s.base).values]
-    rows[2][2] *= s.c
-    return SignTable(tuple(tuple(r) for r in rows))
+    """The sign table of ext_value: table_of(base) with Y1Y2's entry times c."""
+    return SignTable.from_values(lambda name: ext_value(s, name))
 
 
 # Trigger plan: (c, measured observable) -> generator indices flipped
@@ -131,41 +126,25 @@ def skeleton_next(
     return ExtOnticState(apply_flips(s.base, flips), -s.c)
 
 
-def _build_machine(name: str, triggers: TriggerPlan, randomized: bool) -> MealyMachine:
-    index = {s: i for i, s in enumerate(ALL_EXT)}
-    outputs = tuple(
-        tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in ALL_EXT
-    )
-    transitions = []
-    for s in ALL_EXT:
-        row = []
-        for o in pauli.OBSERVABLE_NAMES:
-            nxt = skeleton_next(s, o, triggers)
-            if randomized:
-                # Compose the toy-model coset after the skeleton; the coset
-                # flips preserve every compatible observable's value and
-                # leave c alone, so Y1Y2's value rides along unchanged.
-                succ = [
-                    ExtOnticState(apply_flips(nxt.base, flips), nxt.c)
-                    for flips in COSET_FLIPS[o]
-                ]
-                row.append(uniform_row(index[t] for t in succ))
-            else:
-                row.append(deterministic_row(index[nxt]))
-        transitions.append(tuple(row))
-    return MealyMachine(
-        name=name,
-        states=tuple(s.label for s in ALL_EXT),
-        inputs=pauli.OBSERVABLE_NAMES,
-        outputs=outputs,
-        transitions=tuple(transitions),
-    )
+def _ext_machine(
+    name: str, successors: Callable[[ExtOnticState, str], Iterable[ExtOnticState]]
+) -> MealyMachine:
+    return ontic_machine(name, {s.label: s for s in ALL_EXT}, ext_value, successors)
+
+
+def _randomized_successors(s: ExtOnticState, name: str) -> tuple[ExtOnticState, ...]:
+    # Compose the toy-model coset after the skeleton; the coset flips
+    # preserve every compatible observable's value and leave c alone, so
+    # Y1Y2's value rides along unchanged.
+    nxt = skeleton_next(s, name)
+    return tuple(ExtOnticState(base, nxt.c) for base in coset(nxt.base, name))
 
 
 def extended_machine(randomized: bool = False) -> MealyMachine:
     """The 32-state contextual machine (deterministic skeleton by default)."""
-    name = "extended32-randomized" if randomized else "extended32"
-    return _build_machine(name, CANONICAL_TRIGGERS, randomized)
+    if randomized:
+        return _ext_machine("extended32-randomized", _randomized_successors)
+    return _ext_machine("extended32", lambda s, o: (skeleton_next(s, o),))
 
 
 def variant_machine(kind: str) -> MealyMachine:
@@ -174,7 +153,11 @@ def variant_machine(kind: str) -> MealyMachine:
         raise ValueError(
             f"variant must be one of {sorted(VARIANT_TRIGGERS)}, got {kind!r}"
         )
-    return _build_machine(f"extended32-{kind.replace('_', '-')}", VARIANT_TRIGGERS[kind], False)
+    triggers = VARIANT_TRIGGERS[kind]
+    return _ext_machine(
+        f"extended32-{kind.replace('_', '-')}",
+        lambda s, o: (skeleton_next(s, o, triggers),),
+    )
 
 
 # The eight drawn edges of the four-state diagram, with their drawn
@@ -209,25 +192,11 @@ def four_state_machine() -> MealyMachine:
     All other transitions are left undefined (partial machine); outputs
     come from each state's table.
     """
-    labels = tuple(ALIASES)
-    index = {lab: i for i, lab in enumerate(labels)}
-    outputs = tuple(
-        tuple(ext_value(ALIASES[lab], o) for o in pauli.OBSERVABLE_NAMES)
-        for lab in labels
-    )
-    edge_map = {(src, obs): dst for src, obs, _, dst in DRAWN_EDGES}
-    transitions = tuple(
-        tuple(
-            deterministic_row(index[edge_map[lab, o]]) if (lab, o) in edge_map else ()
-            for o in pauli.OBSERVABLE_NAMES
-        )
-        for lab in labels
-    )
-    return MealyMachine(
-        name="paper4",
-        states=labels,
-        inputs=pauli.OBSERVABLE_NAMES,
-        outputs=outputs,
-        transitions=transitions,
+    edges = {(ALIASES[src], obs): (ALIASES[dst],) for src, obs, _, dst in DRAWN_EDGES}
+    return ontic_machine(
+        "paper4",
+        ALIASES,
+        ext_value,
+        lambda s, o: edges.get((s, o), ()),
         notes=(_DISCREPANCY_NOTE,),
     )

@@ -61,6 +61,8 @@ class MealyMachine:
         n, k = len(self.states), len(self.inputs)
         if len(set(self.states)) != n:
             raise ValueError("duplicate state labels")
+        if len(set(self.inputs)) != k:
+            raise ValueError("duplicate input labels")
         if len(self.outputs) != n or any(len(row) != k for row in self.outputs):
             raise ValueError("output table shape mismatch")
         if len(self.transitions) != n or any(

@@ -233,9 +233,9 @@ def _projectors(word: PauliWord) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _projector_table() -> Mapping[str, tuple[np.ndarray, np.ndarray]]:
-    """Eigenprojectors of the nine PM observables, keyed by Pauli word."""
-    return {str(word): _projectors(word) for word in OBSERVABLES.values()}
+def _projector_table() -> Mapping[PauliWord, tuple[np.ndarray, np.ndarray]]:
+    """Eigenprojectors of all 16 two-qubit Pauli words."""
+    return {word: _projectors(word) for word in ALL_WORDS}
 
 
 def _as_word(obs: str | PauliWord) -> PauliWord:
@@ -270,9 +270,7 @@ def qm_outcome_tree(
     def build(state: np.ndarray, remaining: list[PauliWord]) -> OutcomeNode:
         if not remaining:
             return OutcomeNode(rho=state, branches=())
-        word = remaining[0]
-        cached = projector_table.get(str(word))
-        plus, minus = cached if cached is not None else _projectors(word)
+        plus, minus = projector_table[remaining[0]]
         branches = []
         for outcome, proj in ((+1, plus), (-1, minus)):
             p = float(np.trace(proj @ state).real)

@@ -9,7 +9,9 @@ noncontextual model cannot match the quantum -1 in the last column.
 Measurement keeps the values of every PM observable compatible with the
 measured one and randomizes the rest: the successor is drawn uniformly
 from a two-element coset of generator-flip patterns.  The whole model is
-also exposed as a 16-state stochastic Mealy machine.
+also exposed as a 16-state stochastic Mealy machine, built by
+`ontic_machine`, which builds every machine and search family from
+labelled ontic states, a value rule and a successor rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 from . import pauli
 from .machine import MealyMachine, uniform_row
@@ -154,6 +156,11 @@ class SignTable:
             products[ctx] = p
         return products
 
+    @classmethod
+    def from_values(cls, value: Callable[[str], Sign]) -> "SignTable":
+        """The table whose entry at each PM observable's grid position is value(name)."""
+        return cls(tuple(tuple(value(name) for name in row) for row in pauli.GRID_NAMES))
+
     def compact(self) -> str:
         return "/".join("".join(sign_char(v) for v in row) for row in self.values)
 
@@ -178,12 +185,7 @@ def table_of(s: OnticState) -> SignTable:
     Row 1 is (z1, z2, z1*z2), row 2 is (x2, x1, x1*x2), row 3 the mixed
     products; all six context products are +1 by construction.
     """
-    return SignTable(
-        tuple(
-            tuple(observable_value(s, name) for name in row)
-            for row in pauli.GRID_NAMES
-        )
-    )
+    return SignTable.from_values(lambda name: observable_value(s, name))
 
 
 # PM observables compatible with each observable (including itself),
@@ -275,29 +277,44 @@ def epistemic_update(e: EpistemicState, name: str, v: Sign) -> EpistemicState:
     return EpistemicState(frozenset(reachable))
 
 
+_State = TypeVar("_State", bound=Hashable)
+
+
+def ontic_machine(
+    name: str,
+    states: Mapping[str, _State],
+    value: Callable[[_State, str], Sign],
+    successors: Callable[[_State, str], Iterable[_State]],
+    notes: Iterable[str] = (),
+) -> MealyMachine:
+    """A Mealy machine over labelled ontic states and the nine PM observables.
+
+    The output at (s, o) is value(s, o), and the transition is uniform over
+    successors(s, o), each a member of `states`; an empty successor tuple
+    leaves the transition undefined.
+    """
+    members = tuple(states.values())
+    index = {s: i for i, s in enumerate(members)}
+    names = pauli.OBSERVABLE_NAMES
+    return MealyMachine(
+        name=name,
+        states=tuple(states),
+        inputs=names,
+        outputs=tuple(tuple(value(s, o) for o in names) for s in members),
+        transitions=tuple(
+            tuple(uniform_row(index[t] for t in successors(s, o)) for o in names)
+            for s in members
+        ),
+        notes=tuple(notes),
+    )
+
+
 def spekkens_machine() -> MealyMachine:
     """The toy model as a 16-state stochastic Mealy machine.
 
     States are the ontic states, outputs come from the sign tables, and
     each transition is uniform over the value-preserving coset.
     """
-    labels = tuple(s.label for s in ALL_ONTIC)
-    index = {s: i for i, s in enumerate(ALL_ONTIC)}
-    outputs = tuple(
-        tuple(observable_value(s, name) for name in pauli.OBSERVABLE_NAMES)
-        for s in ALL_ONTIC
-    )
-    transitions = tuple(
-        tuple(
-            uniform_row(index[t] for t in coset(s, name))
-            for name in pauli.OBSERVABLE_NAMES
-        )
-        for s in ALL_ONTIC
-    )
-    return MealyMachine(
-        name="spekkens16",
-        states=labels,
-        inputs=pauli.OBSERVABLE_NAMES,
-        outputs=outputs,
-        transitions=transitions,
+    return ontic_machine(
+        "spekkens16", {s.label: s for s in ALL_ONTIC}, observable_value, coset
     )

@@ -23,12 +23,12 @@ constraints can ever look at, the pending repeatable values and the last
 two steps, coded as four small ints; so memoizing product states, each
 one int key, is equivalent to enumerating all 9^L sequences.
 
-`search_machines` does a pruned depth-first search over deterministic
-transition tables for a fixed candidate state set on the same product
-graph, branching lazily on a transition that a reached product state
-needs next and pruning as soon as a reached product state breaches (R) or
-(C).  Both use one monitor, `_monitor`; `_check_run` stays the literal
-reference.
+`search_machines` does a pruned depth-first search over the deterministic
+sub-machines of a family, a machine whose transition at (s, o) lists the
+moves a completion may pick.  It walks the same product graph, branching
+lazily on a transition that a reached product state needs next and
+pruning as soon as a reached product state breaches (R) or (C).  Both use
+one monitor, `_monitor`; `_check_run` stays the literal reference.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import pauli
 from .extension import (
@@ -49,7 +49,7 @@ from .extension import (
     variant_machine,
 )
 from .machine import MealyMachine, Transcript, deterministic_row
-from .toy import ALL_ONTIC, COMMUTING, apply_flips
+from .toy import ALL_ONTIC, COMMUTING, apply_flips, ontic_machine
 
 REPEATABILITY = "repeatability"
 CONTEXT_PRODUCT = "context_product"
@@ -211,6 +211,9 @@ def _monitor(
     is one lookup, third[e2, e1] -> (input, required output).  Measuring i
     keeps the pending values of keep[i] and appends the step codes[s][i].
     """
+    for nm in names:
+        if nm not in pauli.OBSERVABLES:
+            raise ValueError(f"machine input is not a PM observable: {nm!r}")
     k = len(names)
 
     def code(i: int, v: int) -> int:
@@ -251,9 +254,6 @@ def verify_machine(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     names = m.inputs
-    for nm in names:
-        if nm not in pauli.OBSERVABLES:
-            raise ValueError(f"machine input is not a PM observable: {nm!r}")
     t0 = time.perf_counter()
     k = len(names)
     out = m.outputs
@@ -385,23 +385,8 @@ def refute_variant(kind: str, depth: int = 4) -> Violation:
 
 
 # ---------------------------------------------------------------------------
-# Bounded search over deterministic transition tables.
+# Bounded search over the deterministic sub-machines of a family.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateFamily:
-    """A fixed candidate state set with output tables and successor domains.
-
-    base_domains lists, per (state, input), the successors allowed by the
-    family's structural restriction before the optional value-preservation
-    filter is applied.
-    """
-
-    name: str
-    labels: tuple[str, ...]
-    outputs: tuple[tuple[int, ...], ...]
-    base_domains: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass
@@ -426,61 +411,50 @@ class SearchOutcome:
         }
 
 
-def _all_successors(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    full = tuple(range(n))
-    return tuple(tuple(full for _ in pauli.OBSERVABLE_NAMES) for _ in range(n))
+def _family(
+    name: str,
+    states: Mapping[str, ExtOnticState],
+    moves: Callable[[ExtOnticState], Iterable[ExtOnticState]],
+) -> MealyMachine:
+    """A family whose transition at (s, o) is uniform over the moves of s keeping o's value."""
+    rows = {s: [ext_value(s, o) for o in pauli.OBSERVABLE_NAMES] for s in states.values()}
+    col = {o: i for i, o in enumerate(pauli.OBSERVABLE_NAMES)}
+
+    def successors(s: ExtOnticState, o: str) -> tuple[ExtOnticState, ...]:
+        i = col[o]
+        return tuple(t for t in moves(s) if rows[t][i] == rows[s][i])
+
+    return ontic_machine(name, states, ext_value, successors)
 
 
-def _ext_outputs(states: Sequence[ExtOnticState]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in states)
+def family_paper4() -> MealyMachine:
+    return _family("paper4", ALIASES, lambda s: ALIASES.values())
 
 
-def family_paper4() -> CandidateFamily:
-    states = tuple(ALIASES.values())
-    return CandidateFamily(
-        name="paper4",
-        labels=tuple(ALIASES),
-        outputs=_ext_outputs(states),
-        base_domains=_all_successors(len(states)),
-    )
-
-
-def family_cplus16() -> CandidateFamily:
+def family_cplus16() -> MealyMachine:
     """The 16 original tables only (contradiction in the last column)."""
-    states = tuple(ExtOnticState(s, +1) for s in ALL_ONTIC)
-    return CandidateFamily(
-        name="cplus16",
-        labels=tuple(s.label for s in states),
-        outputs=_ext_outputs(states),
-        base_domains=_all_successors(len(states)),
-    )
+    states = {s.label: s for s in (ExtOnticState(b, +1) for b in ALL_ONTIC)}
+    return _family("cplus16", states, lambda s: states.values())
 
 
-def family_all32_bit2() -> CandidateFamily:
+def family_all32_bit2() -> MealyMachine:
     """All 32 extended states; moves restricted to the skeleton shape.
 
     A successor either equals the current state or differs by flipping c
     together with exactly one bit-2 generator (z2 or x2).
     """
-    index = {s: i for i, s in enumerate(ALL_EXT)}
-    domains = []
-    for s in ALL_EXT:
-        moves = (
+    return _family(
+        "all32-bit2",
+        {s.label: s for s in ALL_EXT},
+        lambda s: (
             s,
             ExtOnticState(apply_flips(s.base, (1,)), -s.c),
             ExtOnticState(apply_flips(s.base, (3,)), -s.c),
-        )
-        row = tuple(tuple(index[t] for t in moves) for _ in pauli.OBSERVABLE_NAMES)
-        domains.append(row)
-    return CandidateFamily(
-        name="all32-bit2",
-        labels=tuple(s.label for s in ALL_EXT),
-        outputs=_ext_outputs(ALL_EXT),
-        base_domains=tuple(domains),
+        ),
     )
 
 
-FAMILIES: Mapping[str, Callable[[], CandidateFamily]] = {
+FAMILIES: Mapping[str, Callable[[], MealyMachine]] = {
     "paper4": family_paper4,
     "cplus16": family_cplus16,
     "all32-bit2": family_all32_bit2,
@@ -497,13 +471,12 @@ class _Budget(Exception):
 
 
 def search_machines(
-    family: CandidateFamily,
-    depth: int,
-    budget: int = 200_000,
-    value_preservation: bool = True,
-    max_machines: int = 64,
+    family: MealyMachine, depth: int, budget: int = 200_000, max_machines: int = 64
 ) -> SearchOutcome:
-    """All deterministic completions of the family passing depth-L checks.
+    """All deterministic sub-machines of the family passing depth-L checks.
+
+    A completion picks one successor from each of the family's transitions,
+    so a family with an undefined transition has none.
 
     Depth-first over transition tables on `verify_machine`'s product graph.
     Each product key reached from some start under the partial table keeps
@@ -517,26 +490,22 @@ def search_machines(
     waited-on pair; each key waits on its inputs least preferred first,
     preferring those distinct from and compatible with its last input,
     then `_CTX_SEARCH_ORDER`.  `budget` caps the number of search nodes;
-    if it runs out the outcome reports exhausted=False.  With value
-    preservation disabled the successor domains are not pre-filtered ((R)
-    then enforces it on repeated inputs at depth >= 2).
+    if it runs out the outcome reports exhausted=False.
     """
-    n = len(family.labels)
-    names = pauli.OBSERVABLE_NAMES
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    n = len(family.states)
+    names = family.inputs
     k = len(names)
     outputs = family.outputs
-    if value_preservation:
-        domains = [
-            [
-                tuple(t for t in family.base_domains[s][i] if outputs[t][i] == outputs[s][i])
-                for i in range(k)
-            ]
-            for s in range(n)
-        ]
-    else:
-        domains = [list(row) for row in family.base_domains]
+    domains = [[family.successors(s, i) for i in range(k)] for s in range(n)]
     keep, third, neg, codes = _monitor(names, outputs)
-    ctx_order = [names.index(nm) for c in _CTX_SEARCH_ORDER for nm in pauli.CONTEXT_NAMES[c]]
+    ctx_order = [
+        names.index(nm)
+        for c in _CTX_SEARCH_ORDER
+        for nm in pauli.CONTEXT_NAMES[c]
+        if nm in names
+    ]
     least_first = list(dict.fromkeys(ctx_order))[::-1]
     # register[e1]: the inputs a key whose last step code is e1 waits on,
     # least preferred first.
@@ -617,13 +586,9 @@ def search_machines(
         completions += 1
         if len(machines) >= max_machines:
             return
-        if any(outputs[table[s][i]][i] != outputs[s][i] for s, i in pair_order):
-            # Only reachable with value preservation disabled at depth 1,
-            # where nothing constrains the table; count it, keep no machine.
-            return
         m = MealyMachine(
             name=f"{family.name}-completion-{completions}",
-            states=family.labels,
+            states=family.states,
             inputs=names,
             outputs=outputs,
             transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),

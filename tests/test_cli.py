@@ -11,7 +11,6 @@ import pytest
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
 from pmtoy.cli import main
 from pmtoy.extension import four_state_machine
-from pmtoy.machine import MealyMachine
 from pmtoy.toy import spekkens_machine
 
 
@@ -131,11 +130,15 @@ def test_verify_malformed_machine_file_exit_two(capsys, tmp_path):
 
 
 def _machine_file(tmp_path, inputs):
-    m = four_state_machine()
+    # paper4's file with its input columns renamed in place; a name given
+    # twice keeps the later column, and MealyMachine would refuse it.
+    data = four_state_machine().to_json_dict()
+    for table in ("outputs", "transitions"):
+        for label, row in data[table].items():
+            data[table][label] = {inputs[i]: v for i, v in enumerate(row.values())}
+    data["inputs"] = list(inputs)
     path = tmp_path / "machine.json"
-    path.write_text(
-        MealyMachine(m.name, m.states, inputs, m.outputs, m.transitions).to_json()
-    )
+    path.write_text(json.dumps(data))
     return str(path)
 
 

@@ -66,6 +66,19 @@ def test_validation_rejects_duplicate_labels():
         _tiny_machine(states=("p", "p"))
 
 
+def test_validation_rejects_duplicate_input_labels():
+    # Accepted, this machine would pass verify_machine although the run
+    # Z1, Z1 -> (+1, -1) breaches repeatability.
+    with pytest.raises(ValueError, match="duplicate input labels"):
+        MealyMachine(
+            name="twice-z1",
+            states=("p",),
+            inputs=("Z1", "Z1"),
+            outputs=((+1, -1),),
+            transitions=((deterministic_row(0), deterministic_row(0)),),
+        )
+
+
 def test_state_and_input_lookup_errors():
     m = _tiny_machine()
     with pytest.raises(ValueError):

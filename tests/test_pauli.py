@@ -155,6 +155,14 @@ def test_outcome_tree_accepts_pauli_words_directly():
         assert outcomes[0] * outcomes[1] * outcomes[2] == -1
 
 
+def test_outcome_tree_measures_words_outside_the_square():
+    # Y1 is none of the nine PM observables.
+    root = qm_outcome_tree([PauliWord("Y", "I")] * 2)
+    runs = dict(tree_transcripts(root))
+    assert set(runs) == {(+1, +1), (-1, -1)}
+    assert all(p == pytest.approx(0.5, abs=1e-12) for p in runs.values())
+
+
 def test_outcome_tree_rejects_bad_initial_state():
     with pytest.raises(ValueError):
         qm_outcome_tree(["Z1"], initial=np.eye(4))  # trace 4, not a state

@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 
 from pmtoy import pauli
 from pmtoy.extension import extended_machine, four_state_machine, variant_machine
-from pmtoy.machine import MealyMachine, Transcript, deterministic_row, enumerate_transcripts
+from pmtoy.machine import (
+    MealyMachine,
+    Transcript,
+    deterministic_row,
+    enumerate_transcripts,
+    uniform_row,
+)
 from pmtoy.pauli import qm_outcome_tree, tree_transcripts
-from pmtoy.toy import spekkens_machine
+from pmtoy.toy import ontic_machine, spekkens_machine
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
     REPEATABILITY,
-    CandidateFamily,
     VerificationReport,
     check_transcript,
     compatible,
@@ -252,22 +257,22 @@ def test_search_completions_match_brute_force_verification(depth):
     # self-loop, except that state a's six row-1 and row-2 transitions are
     # free within value preservation: 256 tables, each verified on its own.
     family = family_paper4()
-    names, outputs = pauli.OBSERVABLE_NAMES, family.outputs
-    n, k = len(family.labels), len(names)
+    names, outputs = family.inputs, family.outputs
+    n, k = len(family.states), len(names)
     fixed = [[s] * k for s in range(n)]
     for src, obs, dst in DIAGRAM_EDGES:
-        fixed[family.labels.index(src)][names.index(obs)] = family.labels.index(dst)
+        fixed[family.state_index(src)][names.index(obs)] = family.state_index(dst)
     free = {names.index(o) for o in ("Z1", "Z2", "Z1Z2", "X2", "X1", "X1X2")}
-    choices_a = [
-        tuple(t for t in range(n) if outputs[t][i] == outputs[0][i])
-        if i in free
-        else (fixed[0][i],)
-        for i in range(k)
-    ]
+    choices_a = [family.successors(0, i) if i in free else (fixed[0][i],) for i in range(k)]
     domains = (tuple(choices_a), *(tuple((t,) for t in row) for row in fixed[1:]))
-    outcome = search_machines(
-        CandidateFamily("a-free", family.labels, outputs, domains), depth, max_machines=1_000
+    a_free = MealyMachine(
+        name="a-free",
+        states=family.states,
+        inputs=names,
+        outputs=outputs,
+        transitions=tuple(tuple(uniform_row(d) for d in row) for row in domains),
     )
+    outcome = search_machines(a_free, depth, max_machines=1_000)
     assert outcome.exhausted
     found = {
         tuple(tuple(r[0][0] for r in row) for row in m.transitions) for m in outcome.machines
@@ -277,7 +282,7 @@ def test_search_completions_match_brute_force_verification(depth):
     for table in tables:
         m = MealyMachine(
             name="candidate",
-            states=family.labels,
+            states=family.states,
             inputs=names,
             outputs=outputs,
             transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
@@ -317,54 +322,56 @@ def test_search_budget_exhaustion_is_reported():
     assert outcome.nodes >= 5
 
 
+def test_search_rejects_depth_below_one():
+    # Raised before the first search node: with budget 1 no completion,
+    # and so no verify_machine call, could be reached.
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            search_machines(family_paper4(), depth, budget=1)
+
+
+def test_builtin_machines_are_families():
+    # A completion is a deterministic sub-machine of the family, so a
+    # builtin machine is searched as it stands.
+    outcome = search_machines(spekkens_machine(), 3)
+    assert outcome.exhausted and outcome.completions == 0
+    skeleton = extended_machine()
+    outcome = search_machines(skeleton, 6)
+    assert outcome.exhausted and outcome.completions == 1
+    assert outcome.machines[0].transitions == skeleton.transitions
+
+
 def _two_state_family():
     # Two original tables differing in x1; the four observables whose value
-    # involves x1 (X1, X1X2, X1Z2, Y1Y2) disagree between the states.
+    # involves x1 (X1, X1X2, X1Z2, Y1Y2) disagree between the states.  Each
+    # transition is uniform over the states that keep the measured value.
     from pmtoy.extension import ExtOnticState, ext_value
     from pmtoy.toy import OnticState
 
-    states = (
-        ExtOnticState(OnticState(+1, +1, +1, +1), +1),
-        ExtOnticState(OnticState(+1, +1, -1, +1), +1),
-    )
-    return CandidateFamily(
-        name="two-state",
-        labels=tuple(s.label for s in states),
-        outputs=tuple(
-            tuple(ext_value(s, o) for o in pauli.OBSERVABLE_NAMES) for s in states
-        ),
-        base_domains=(
-            tuple((0, 1) for _ in range(9)),
-            tuple((0, 1) for _ in range(9)),
-        ),
+    states = {
+        s.label: s
+        for s in (
+            ExtOnticState(OnticState(+1, +1, +1, +1), +1),
+            ExtOnticState(OnticState(+1, +1, -1, +1), +1),
+        )
+    }
+    return ontic_machine(
+        "two-state",
+        states,
+        ext_value,
+        lambda s, o: tuple(t for t in states.values() if ext_value(t, o) == ext_value(s, o)),
     )
 
 
-def test_value_preservation_prunes_the_search_space():
-    # At depth 1 nothing behavioral constrains the table, so disabling the
-    # value-preservation filter must strictly enlarge the completion set.
-    # (At depth >= 2 (R) on an input measured twice in a row enforces it
-    # behaviorally and the two sets coincide.)
+def test_search_completions_of_the_two_state_family():
+    # Every deterministic sub-machine has two choices at each of the five
+    # observables the states agree on, for each of the two states.  All of
+    # them pass at depth 1 and at depth 2: (C) needs three steps, and (R) on
+    # a repeated input holds on any value-preserving machine.
     family = _two_state_family()
-    budget = 2_000_000
-    with_vp = search_machines(family, 1, budget=budget, max_machines=1)
-    without_vp = search_machines(
-        family, 1, budget=budget, value_preservation=False, max_machines=1
-    )
-    assert with_vp.exhausted and without_vp.exhausted
-    assert with_vp.completions == 2**10
-    assert without_vp.completions == 2**18
-    assert without_vp.completions > with_vp.completions
-
-
-def test_value_preservation_sets_coincide_at_depth_two():
-    family = _two_state_family()
-    with_vp = search_machines(family, 2, budget=2_000_000, max_machines=1)
-    without_vp = search_machines(
-        family, 2, budget=2_000_000, value_preservation=False, max_machines=1
-    )
-    assert with_vp.exhausted and without_vp.exhausted
-    assert with_vp.completions == without_vp.completions
+    for depth in (1, 2):
+        outcome = search_machines(family, depth, budget=2_000_000, max_machines=1)
+        assert outcome.exhausted and outcome.completions == 2**10
 
 
 # Inputs that are not the nine observables in canonical order: a shuffle,
