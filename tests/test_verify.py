@@ -363,15 +363,30 @@ def _two_state_family():
     )
 
 
-def test_search_completions_of_the_two_state_family():
-    # Every deterministic sub-machine has two choices at each of the five
-    # observables the states agree on, for each of the two states.  All of
-    # them pass at depth 1 and at depth 2: (C) needs three steps, and (R) on
-    # a repeated input holds on any value-preserving machine.
+def test_value_preservation_prunes_the_search_space():
+    # The family lists only value-preserving moves: a single one at the
+    # four observables whose value involves x1, two at the other five.  At
+    # depth 1 nothing behavioral constrains the table, so every one of the
+    # 2**10 deterministic sub-machines passes, against 2**18 tables if the
+    # moves were not restricted to value-preserving ones.
     family = _two_state_family()
-    for depth in (1, 2):
-        outcome = search_machines(family, depth, budget=2_000_000, max_machines=1)
-        assert outcome.exhausted and outcome.completions == 2**10
+    domains = [len(family.successors(s, i)) for s in range(2) for i in range(9)]
+    assert sorted(domains) == [1] * 8 + [2] * 10
+    outcome = search_machines(family, 1, budget=2_000_000, max_machines=1)
+    assert outcome.exhausted
+    assert outcome.completions == 2**10
+    assert outcome.completions < 2**18
+
+
+def test_value_preservation_sets_coincide_at_depth_two():
+    # At depth 2, (C) still needs three steps, and (R) on an input measured
+    # twice in a row holds on any value-preserving machine, so the depth-2
+    # completions are the depth-1 ones.
+    family = _two_state_family()
+    depth1 = search_machines(family, 1, budget=2_000_000, max_machines=1)
+    depth2 = search_machines(family, 2, budget=2_000_000, max_machines=1)
+    assert depth1.exhausted and depth2.exhausted
+    assert depth2.completions == depth1.completions == 2**10
 
 
 # Inputs that are not the nine observables in canonical order: a shuffle,
