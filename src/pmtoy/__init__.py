@@ -23,7 +23,6 @@ from .machine import MealyMachine, Transcript, enumerate_transcripts, step
 from .pauli import (
     OBSERVABLE_NAMES,
     OBSERVABLES,
-    PM_SQUARE,
     PauliWord,
     commutes,
     context_product_sign,

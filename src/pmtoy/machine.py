@@ -36,6 +36,20 @@ def _parse_prob(text: object) -> Fraction:
     return Fraction(text)
 
 
+def _parse_output(value: object) -> int:
+    # `type` rather than `isinstance`: JSON true is a bool, and bool an int.
+    if type(value) is not int or value not in (1, -1):
+        raise ValueError(f"output is not the integer 1 or -1: {value!r:.40}")
+    return value
+
+
+def _parse_labels(data: dict, key: str) -> tuple[str, ...]:
+    labels = data[key]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError(f"machine {key} must be a list of strings")
+    return tuple(labels)
+
+
 def uniform_row(successors: Iterable[int]) -> TransitionRow:
     succ = tuple(successors)
     if not succ:
@@ -158,11 +172,11 @@ class MealyMachine:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MealyMachine":
-        states = tuple(data["states"])
-        inputs = tuple(data["inputs"])
+        states = _parse_labels(data, "states")
+        inputs = _parse_labels(data, "inputs")
         index = {label: i for i, label in enumerate(states)}
         outputs = tuple(
-            tuple(int(data["outputs"][label][inp]) for inp in inputs)
+            tuple(_parse_output(data["outputs"][label][inp]) for inp in inputs)
             for label in states
         )
         transitions = tuple(

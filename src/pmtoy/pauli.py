@@ -153,26 +153,7 @@ CONTEXT_SETS: Mapping[frozenset[str], int] = {
 }
 
 
-@dataclass(frozen=True)
-class PMSquare:
-    """The 3x3 observable grid with its six contexts and prescribed signs."""
-
-    grid: tuple[tuple[PauliWord, ...], ...]
-    contexts: Mapping[str, tuple[tuple[int, int], ...]]
-    prescribed_sign: Mapping[str, int]
-
-    def words_in(self, context: str) -> tuple[PauliWord, ...]:
-        return tuple(self.grid[r][c] for r, c in self.contexts[context])
-
-
-PM_SQUARE = PMSquare(
-    grid=tuple(tuple(OBSERVABLES[n] for n in row) for row in GRID_NAMES),
-    contexts=CONTEXT_POSITIONS,
-    prescribed_sign=PRESCRIBED_SIGN,
-)
-
-
-def context_product_sign(context: str, square: PMSquare = PM_SQUARE) -> int:
+def context_product_sign(context: str) -> int:
     """Sign s such that the ordered product of the context's operators is s*identity.
 
     Raises ValueError if the product is not proportional to the identity,
@@ -180,7 +161,7 @@ def context_product_sign(context: str, square: PMSquare = PM_SQUARE) -> int:
     """
     import numpy as np
 
-    words = square.words_in(context)
+    words = [OBSERVABLES[n] for n in CONTEXT_NAMES[context]]
     product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
     for sign in (+1, -1):
         if np.allclose(product, sign * np.eye(4), atol=PROB_TOL):
@@ -298,19 +279,21 @@ def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float
     yield from walk(root, (), 1.0)
 
 
+def _context_products() -> Iterator[dict[str, int]]:
+    """The six context products of each of the 2^9 sign tables, bits in grid order."""
+    for bits in itertools.product((+1, -1), repeat=9):
+        yield {
+            ctx: bits[3 * r0 + c0] * bits[3 * r1 + c1] * bits[3 * r2 + c2]
+            for ctx, ((r0, c0), (r1, c1), (r2, c2)) in CONTEXT_POSITIONS.items()
+        }
+
+
 def count_noncontextual_assignments(signs: Mapping[str, int]) -> int:
     """Brute force over all 2^9 sign tables; count those meeting every context sign."""
-    contexts = [(CONTEXT_POSITIONS[ctx], s) for ctx, s in signs.items()]
-    count = 0
-    for bits in itertools.product((+1, -1), repeat=9):
-        table = (bits[0:3], bits[3:6], bits[6:9])
-        if all(
-            table[p[0][0]][p[0][1]] * table[p[1][0]][p[1][1]] * table[p[2][0]][p[2][1]]
-            == s
-            for p, s in contexts
-        ):
-            count += 1
-    return count
+    return sum(
+        all(products[ctx] == s for ctx, s in signs.items())
+        for products in _context_products()
+    )
 
 
 def ks_parity_scan() -> int:
@@ -320,18 +303,12 @@ def ks_parity_scan() -> int:
 
 def ks_scan_summary() -> dict:
     """Full 512-table scan: QM and all-plus counts plus the -1-product histogram."""
-    qm_signs = list(PRESCRIBED_SIGN.values())
     qm = all_plus = 0
     histogram: dict[int, int] = {}
     total_products = set()
-    for bits in itertools.product((+1, -1), repeat=9):
-        table = (bits[0:3], bits[3:6], bits[6:9])
-        products = [
-            table[p[0][0]][p[0][1]] * table[p[1][0]][p[1][1]] * table[p[2][0]][p[2][1]]
-            for p in CONTEXT_POSITIONS.values()
-        ]
-        qm += products == qm_signs
-        minus = products.count(-1)
+    for products in _context_products():
+        qm += products == PRESCRIBED_SIGN
+        minus = list(products.values()).count(-1)
         all_plus += minus == 0
         histogram[minus] = histogram.get(minus, 0) + 1
         total_products.add(-1 if minus % 2 else 1)

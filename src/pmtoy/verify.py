@@ -15,20 +15,16 @@ not sufficient.  From ++++/col, `extended32` emits Z1, Z2, X1X2, Z1Z2 ->
 yet has quantum probability 0: Z1Z2 is fixed by the earlier Z1 and Z2
 outcomes and commutes with X1X2.
 
-`check_transcript` applies the constraints literally to one run.
-`verify_machine` certifies all input sequences up to a depth bound from
-every start state by a breadth-first search over (machine state,
-constraint monitor) product states.  The monitor holds exactly what the
-constraints can ever look at, the pending repeatable values and the last
-two steps, coded as four small ints; so memoizing product states, each
-one int key, is equivalent to enumerating all 9^L sequences.
-
-`search_machines` does a pruned depth-first search over the deterministic
-sub-machines of a family, a machine whose transition at (s, o) lists the
-moves a completion may pick.  It walks the same product graph, branching
-lazily on a transition that a reached product state needs next and
-pruning as soon as a reached product state breaches (R) or (C).  Both use
-one monitor, `_monitor`; `_check_run` stays the literal reference.
+`check_transcript` applies the constraints literally to one run.  All
+other verdicts walk one product graph, machine x (R)+(C) monitor, built by
+`_monitor`.  The monitor holds exactly what the constraints can ever look
+at, the pending repeatable values and the last two steps, so walking the
+graph is equivalent to enumerating all 9^L sequences.  `verify_machine`
+walks it breadth-first from every start state of one machine.
+`search_machines` walks it depth-first over the deterministic sub-machines
+of a family, a machine whose transition at (s, o) lists the moves a
+completion may pick, branching on a transition that a reached product
+state needs next and pruning as soon as one breaches (R) or (C).
 """
 
 from __future__ import annotations
@@ -199,39 +195,63 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _monitor(
-    names: Sequence[str], outputs: Sequence[Sequence[int]]
-) -> tuple[list[int], dict[tuple[int, int], tuple[int, int]], list[int], list[list[int]]]:
-    """The (R)+(C) monitor's tables, for these inputs and per-state outputs.
+# A product key (s, K, V, e2, e1): a machine state and a `_monitor` state.
+_Key = tuple[int, int, int, int, int]
+# A product move at (s, i): (bit, keep, neg bit, step code, successors).
+_Move = tuple[int, int, int, int, tuple[int, ...]]
+
+
+def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]:
+    """The product graph of machine m with the (R)+(C) monitor.
 
     A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
     input i and bit i of V says it is -1; e2 and e1 code the last two steps
-    as 1 + 2i + (v < 0), 0 for none.  At state s the (R) breaches are
-    K & (V ^ neg[s]), neg[s] marking the inputs s answers -1; a (C) breach
-    is one lookup, third[e2, e1] -> (input, required output).  Measuring i
-    keeps the pending values of keep[i] and appends the step codes[s][i].
+    as 1 + 2i + (v < 0), 0 for none.  breaches(key) is the mask of inputs
+    whose measurement at the key breaches (R) or (C).  Measuring input i at
+    state s, moves[s][i] = (bit, keep, neg, code, successors), takes key
+    (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg, e1, code)
+    for each successor t; keep marks the inputs compatible with i.
     """
+    names = m.inputs
     for nm in names:
         if nm not in pauli.OBSERVABLES:
             raise ValueError(f"machine input is not a PM observable: {nm!r}")
     k = len(names)
+    out = m.outputs
 
     def code(i: int, v: int) -> int:
         return 1 + 2 * i + (v < 0)
 
-    keep = [
-        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
-        for i in range(k)
-    ]
+    # third[e2, e1]: the input completing a context after those two steps,
+    # and the output its sign requires there.
     third: dict[tuple[int, int], tuple[int, int]] = {}
     for names3, sign in pauli.CONTEXT_SETS.items():
         if all(nm in names for nm in names3):
             for i2, i1, i in itertools.permutations([names.index(nm) for nm in names3]):
                 for v2, v1 in itertools.product((1, -1), repeat=2):
                     third[code(i2, v2), code(i1, v1)] = (i, sign * v2 * v1)
-    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in outputs]
-    codes = [[code(i, v) for i, v in enumerate(row)] for row in outputs]
-    return keep, third, neg, codes
+    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in out]
+    keep = [
+        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
+        for i in range(k)
+    ]
+    moves = [
+        [
+            (1 << i, keep[i], neg[s] & (1 << i), code(i, v), m.successors(s, i))
+            for i, v in enumerate(row)
+        ]
+        for s, row in enumerate(out)
+    ]
+
+    def breaches(key: _Key) -> int:
+        s, K, V, e2, e1 = key
+        bad = K & (V ^ neg[s])
+        ctx = third.get((e2, e1))
+        if ctx is not None and out[s][ctx[0]] != ctx[1]:
+            bad |= 1 << ctx[0]
+        return bad
+
+    return breaches, moves
 
 
 def verify_machine(
@@ -242,14 +262,13 @@ def verify_machine(
 ) -> VerificationReport:
     """Certify every input sequence of length <= depth from every start.
 
-    Walks the product of the machine with the constraint monitor
-    breadth-first, so witnesses are depth-minimal; violations are
+    Walks `_monitor`'s product graph breadth-first from the start keys
+    (s, 0, 0, 0, 0), so witnesses are depth-minimal; violations are
     deduplicated by (kind, inputs at the breach positions, expected,
     observed).  Undefined transitions of partial machines end the branch.
-
-    A product state is (s, K, V, e2, e1), a machine state and a `_monitor`
-    state, packed into one int for the seen set.  Each breach is re-checked
-    by `check_transcript`'s rules on its witness run.
+    `parent` maps each reached key to the key and input it was first
+    reached from, None at a start; each breach is re-checked by
+    `check_transcript`'s rules on the witness run it leads back to.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -257,75 +276,57 @@ def verify_machine(
     t0 = time.perf_counter()
     k = len(names)
     out = m.outputs
-    keep, third, neg, codes = _monitor(names, out)
-    # moves[s]: per input, (i, bit, keep[i], output, step code, successors).
-    moves = [
-        [
-            (i, 1 << i, keep[i], out[s][i], codes[s][i], tuple(t for t, _ in row))
-            for i, row in enumerate(srow)
-        ]
-        for s, srow in enumerate(m.transitions)
-    ]
+    breaches, moves = _monitor(m)
     if starts is None:
-        start_indices = list(range(len(m.states)))
+        start_indices = range(len(m.states))
     else:
         start_indices = [m.state_index(s) for s in starts]
-
-    # The seen key packs (s, K, V, e2, e1) into one int, each code in eb bits.
-    eb = (2 * k + 1).bit_length()
-    s_shift = 2 * k + 2 * eb
-    roots = list(dict.fromkeys(start_indices))  # node j < len(roots) starts at roots[j]
-    parents: list[tuple[int, int, int]] = [(-1, -1, 0)] * len(roots)
-    seen = {s << s_shift for s in roots}
-    level = [(j, s, 0, 0, 0, 0) for j, s in enumerate(roots)]
+    parent: dict[_Key, tuple[_Key, int] | None] = {
+        (s, 0, 0, 0, 0): None for s in start_indices
+    }
+    n_starts = len(parent)
+    level = list(parent)
 
     found: dict[tuple, Violation] = {}
     truncated = False
 
-    def witness(nid: int, i: int, v: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
-        seq, outs = [names[i]], [v]
-        p, pi, pv = parents[nid]
-        while p != -1:
-            seq.append(names[pi])
-            outs.append(pv)
-            nid = p
-            p, pi, pv = parents[nid]
-        return m.states[roots[nid]], tuple(reversed(seq)), tuple(reversed(outs))
+    def witness(key: _Key, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+        run = [(key[0], i)]
+        while parent[key]:
+            key, i = parent[key]
+            run.append((key[0], i))
+        seq = tuple(names[i] for _, i in reversed(run))
+        return m.states[key[0]], seq, tuple(out[s][i] for s, i in reversed(run))
 
     for d in range(depth):
         expand = d + 1 < depth
-        nxt: list[tuple[int, int, int, int, int, int]] = []
-        for nid, s, K, V, e2, e1 in level:
-            ns = neg[s]
-            bad = K & (V ^ ns)
-            ctx = third.get((e2, e1))
-            if ctx is not None and out[s][ctx[0]] != ctx[1]:
-                bad |= 1 << ctx[0]
-            for i, bit, kp, v, code, ts in moves[s]:
+        nxt: list[_Key] = []
+        for key in level:
+            s, K, V, _, e1 = key
+            bad = breaches(key)
+            for i, (bit, kp, nb, code, ts) in enumerate(moves[s]):
                 if bad & bit:
                     if len(found) < max_violations:
-                        start_label, seq, outs = witness(nid, i, v)
+                        start_label, seq, outs = witness(key, i)
                         for vio in _check_run(seq, outs, start_label):
-                            key = (
+                            dedup = (
                                 vio.kind,
                                 tuple(seq[p] for p in vio.positions),
                                 vio.expected,
                                 vio.observed,
                             )
-                            found.setdefault(key, vio)
+                            found.setdefault(dedup, vio)
                     else:
                         truncated = True
                     continue
                 if expand and ts:
                     nK = (K & kp) | bit
-                    nV = (V & kp) | (ns & bit)
-                    low = (((nK << k | nV) << eb | e1) << eb) | code
+                    nV = (V & kp) | nb
                     for t in ts:
-                        key = t << s_shift | low
-                        if key not in seen:
-                            seen.add(key)
-                            nxt.append((len(parents), t, nK, nV, e1, code))
-                            parents.append((nid, i, v))
+                        nkey = (t, nK, nV, e1, code)
+                        if nkey not in parent:
+                            parent[nkey] = (key, i)
+                            nxt.append(nkey)
         level = nxt
         if not level:
             break
@@ -341,7 +342,7 @@ def verify_machine(
     if truncated:
         notes = notes + (f"violation list truncated at {max_violations} entries",)
     # n * (k + k^2 + ... + k^depth) for n distinct starts, in closed form.
-    total = len(roots) * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
+    total = n_starts * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
     return VerificationReport(
         machine=m.name,
         depth=depth,
@@ -462,9 +463,6 @@ FAMILIES: Mapping[str, Callable[[], MealyMachine]] = {
 
 _CTX_SEARCH_ORDER = ("col3", "row3", "row1", "row2", "col1", "col2")
 
-# A product key (s, K, V, e2, e1): a machine state and a `_monitor` state.
-_Key = tuple[int, int, int, int, int]
-
 
 class _Budget(Exception):
     pass
@@ -475,10 +473,12 @@ def search_machines(
 ) -> SearchOutcome:
     """All deterministic sub-machines of the family passing depth-L checks.
 
-    A completion picks one successor from each of the family's transitions,
-    so a family with an undefined transition has none.
+    A completion picks one successor from each of the family's transitions;
+    a family with an undefined transition raises ValueError.
 
-    Depth-first over transition tables on `verify_machine`'s product graph.
+    Depth-first over transition tables on `_monitor`'s product graph, the
+    one `verify_machine` walks: the family's moves give each (state, input)
+    pair its domain, and a completion assigns each pair one successor.
     Each product key reached from some start under the partial table keeps
     the least depth it is reached at, and a key below depth L - 1 whose
     next step needs an unassigned (state, input) pair waits on it.
@@ -494,12 +494,12 @@ def search_machines(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not family.is_total:
+        raise ValueError(f"family {family.name!r} has an undefined transition")
     n = len(family.states)
     names = family.inputs
     k = len(names)
-    outputs = family.outputs
-    domains = [[family.successors(s, i) for i in range(k)] for s in range(n)]
-    keep, third, neg, codes = _monitor(names, outputs)
+    breaches, moves = _monitor(family)
     ctx_order = [
         names.index(nm)
         for c in _CTX_SEARCH_ORDER
@@ -528,22 +528,19 @@ def search_machines(
         old = best.get(key)
         if old is not None and old <= d:
             return True
-        s, K, V, e2, e1 = key
-        if old is None:
-            ctx = third.get((e2, e1))
-            if K & (V ^ neg[s]) or (ctx is not None and outputs[s][ctx[0]] != ctx[1]):
-                return False
+        if old is None and breaches(key):
+            return False
         trail.append((key, old))
         best[key] = d
         if d < depth - 1:
-            expanding[s].append(key)
+            expanding[key[0]].append(key)
             queue.append(key)
         return True
 
     def succ(key: _Key, i: int, t: int) -> _Key:
         s, K, V, _, e1 = key
-        bit = 1 << i
-        return (t, (K & keep[i]) | bit, (V & keep[i]) | (neg[s] & bit), e1, codes[s][i])
+        bit, kp, nb, code, _ = moves[s][i]
+        return (t, (K & kp) | bit, (V & kp) | nb, e1, code)
 
     def propagate() -> bool:
         while queue:
@@ -590,7 +587,7 @@ def search_machines(
             name=f"{family.name}-completion-{completions}",
             states=family.states,
             inputs=names,
-            outputs=outputs,
+            outputs=family.outputs,
             transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
         )
         report = verify_machine(m, depth)
@@ -616,7 +613,7 @@ def search_machines(
             realize()
         else:
             s, i = pair
-            for t in domains[s][i]:
+            for t in moves[s][i][4]:
                 marks = len(trail), len(waited)
                 if assign(s, i, t):
                     dfs()

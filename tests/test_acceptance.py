@@ -55,10 +55,10 @@ def criterion(number, description, budget_s):
 def test_criterion_1_operator_identities():
     with criterion(1, "six context operator products are +/-identity exactly", 1.0):
         for ctx in ("row1", "row2", "row3", "col1", "col2"):
-            words = pauli.PM_SQUARE.words_in(ctx)
+            words = [pauli.OBSERVABLES[n] for n in pauli.CONTEXT_NAMES[ctx]]
             product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
             assert np.array_equal(product, np.eye(4))
-        words = pauli.PM_SQUARE.words_in("col3")
+        words = [pauli.OBSERVABLES[n] for n in pauli.CONTEXT_NAMES["col3"]]
         product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
         assert np.array_equal(product, -np.eye(4))
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report formats, and reproducibility."""
 
 import decimal
+import hashlib
 import json
 import re
 import subprocess
@@ -77,6 +78,47 @@ def test_verify_reports_byte_identical_except_elapsed(capsys):
     assert scrub(outs[0]) == scrub(outs[1])
 
 
+# sha256 of each builtin's `pmtoy verify` report with its "elapsed_ms" line
+# removed, recorded at commit 595469a: reports stay byte-identical across
+# changes to the verifier, not only from one run to the next.
+GOLDEN_REPORTS = {
+    ("extended32", 3, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("extended32", 3, "json"): "e913e927cc67e50939b04655f7ec4f6bb63d07be06f107a4849f31e7c66722eb",
+    ("extended32", 3, "text"): "f4b15a6a992897e96a0b662935fc89b674287ffa3bd38197986bcd63d4b62c92",
+    ("extended32", 6, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("extended32", 6, "json"): "077cacfb782218282c338ee2b0d85a9ed3a3512bd87c72379db061cbad8c64ed",
+    ("extended32", 6, "text"): "8ff0101e7a94f190411907c16675c20cf07f267e5d388dff97d1a8f360d9f367",
+    ("extended32-randomized", 3, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("extended32-randomized", 3, "json"): "141a8ad168eb470a67752818d4ae2aea5213e5e5f10f2a952f923ebc6efa4d07",
+    ("extended32-randomized", 3, "text"): "f93c086cf11fb0f3b722b0583a67d01a3ad4446a0f6dd28a456eda51d5a39445",
+    ("extended32-randomized", 6, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("extended32-randomized", 6, "json"): "c570a9eae7f573f229d236c0aba648533c02e2ff0d3389818f71dcbfbce27010",
+    ("extended32-randomized", 6, "text"): "dab85c5902b0fd460f6302fbf1c49e864eef8cd8ed20a1173ecd46e8a06f5383",
+    ("paper4", 3, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("paper4", 3, "json"): "f8b3741035b059344f8ed49fb498edcd28b742946edbe5430a6e5b7cac597c40",
+    ("paper4", 3, "text"): "8f507f3a990c5d7d75630e36221948e1007697e0366999b42d4726e38545f194",
+    ("paper4", 6, "csv"): "921d609b421b452af72cbba5634ff470d564c1d1784198a22509f88a4a3b86c5",
+    ("paper4", 6, "json"): "5f02bc1bfdd49d2dec7f535e04c39f7a5bb70323bdda02d2b8da4a4f67c791ca",
+    ("paper4", 6, "text"): "d6ebb56207c87796bc1c70d5040282d87e18c2844ba7cecc64f963f74ee6b677",
+    ("spekkens16", 3, "csv"): "2041f9e6347dfe15656ec261c6ecadcf2b3b0809eb7a3445bc602d418275337b",
+    ("spekkens16", 3, "json"): "c730e5586bfd7e8bab5007ea3c46e8747130a9c04ff1d3bc263c99964459dbb4",
+    ("spekkens16", 3, "text"): "22a111e42061e348eb9795ce3fc824361c96c71d765c310d9f00d79ff90a456b",
+    ("spekkens16", 6, "csv"): "2041f9e6347dfe15656ec261c6ecadcf2b3b0809eb7a3445bc602d418275337b",
+    ("spekkens16", 6, "json"): "cd1272e17efd2282496bc84a7abe433f6eb2d4d62d3d2ccbdbba1f3390162a4e",
+    ("spekkens16", 6, "text"): "7d93a802992159df589fccecfdc4fee7f79aaf2da97c9a2ec5f8915634f93396",
+}
+
+
+@pytest.mark.parametrize("machine, depth, fmt", sorted(GOLDEN_REPORTS))
+def test_verify_reports_match_golden_hashes(capsys, machine, depth, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "--machine", machine, "--depth", str(depth), "--format", fmt
+    )
+    assert code == (1 if machine == "spekkens16" else 0)
+    kept = "".join(line for line in out.splitlines(True) if '"elapsed_ms"' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_REPORTS[machine, depth, fmt]
+
+
 def test_verify_has_no_seed_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--machine", "paper4", "--seed", "7"])
@@ -127,6 +169,19 @@ def test_verify_malformed_machine_file_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--machine", str(path))
     assert code == 2
     assert "cannot load machine" in err
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1", -1.2])
+def test_verify_machine_file_with_a_non_integer_output_exit_two(capsys, tmp_path, value):
+    # Only what `to_json_dict` writes loads: an output is the JSON integer
+    # 1 or -1, never a value `int` would coerce to one.
+    data = four_state_machine().to_json_dict()
+    data["outputs"]["a"]["Z1"] = value
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "verify", "--machine", str(path))
+    assert code == 2
+    assert "cannot load machine" in err and "output" in err
 
 
 def _machine_file(tmp_path, inputs):

@@ -179,3 +179,19 @@ def test_json_is_canonical():
     m = spekkens_machine()
     assert m.to_json() == spekkens_machine().to_json()
     assert '"name"' in m.to_json()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("states", "abcd"),
+        ("states", {"a": 0, "b": 1, "c": 2, "d": 3}),
+        ("inputs", ["Z1", 2] + list(four_state_machine().inputs[2:])),
+    ],
+    ids=["states-string", "states-object", "inputs-with-an-int"],
+)
+def test_from_json_dict_reads_labels_only_as_lists_of_strings(key, value):
+    data = four_state_machine().to_json_dict()
+    data[key] = value
+    with pytest.raises(ValueError, match=f"machine {key} must be a list of strings"):
+        MealyMachine.from_json_dict(data)

@@ -147,10 +147,21 @@ def test_verify_is_monotone_in_depth():
     assert min(len(v.sequence) for v in deep.violations) == 3
 
 
-def test_violations_are_replayable():
-    m = spekkens_machine()
-    report = verify_machine(m, 3)
-    for v in report.violations[:4]:
+@pytest.mark.parametrize(
+    "build, depth",
+    [
+        (spekkens_machine, 3),
+        (lambda: variant_machine("single_trigger"), 4),
+        (lambda: variant_machine("same_destination"), 4),
+    ],
+    ids=["spekkens16-depth3", "single_trigger-depth4", "same_destination-depth4"],
+)
+def test_violations_are_replayable(build, depth):
+    # From every start, so witnesses lead back to several start keys.
+    m = build()
+    report = verify_machine(m, depth, max_violations=10_000)
+    assert report.violations
+    for v in report.violations:
         transcripts = enumerate_transcripts(m, v.start, v.sequence)
         reproduced = [
             t
@@ -320,6 +331,15 @@ def test_search_budget_exhaustion_is_reported():
     outcome = search_machines(family_all32_bit2(), 4, budget=5)
     assert not outcome.exhausted
     assert outcome.nodes >= 5
+
+
+def test_search_rejects_a_family_with_an_undefined_transition():
+    # No completion exists, so an exhausted search would be a false
+    # certificate that no machine in the family passes.
+    partial = four_state_machine()
+    assert not partial.is_total
+    with pytest.raises(ValueError, match="undefined transition"):
+        search_machines(partial, 4)
 
 
 def test_search_rejects_depth_below_one():
