@@ -1,11 +1,12 @@
-"""Stochastic Mealy machines with exact dyadic transition weights.
+"""Stochastic Mealy machines with exact rational transition weights.
 
 A machine has a finite set of labelled states, the nine PM observables as
 its input alphabet, a +/-1 output per (state, input), and per (state,
 input) a probability distribution over successor states.  Distributions
-are exact `Fraction`s (everything occurring here is uniform over one, two
-or four states).  Machines are immutable after construction and safe to
-share.
+are exact `Fraction`s: every machine and family built here is uniform over
+its listed successors, from one state up to eight (cplus16), so weights
+such as 1/3 (all32-bit2) stay exact.  Machines are immutable after
+construction and safe to share.
 
 Two structural invariants are enforced at build time: every distribution
 sums to exactly 1, and every positive-probability successor assigns the
@@ -21,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 TransitionRow = tuple[tuple[int, Fraction], ...]
 
@@ -48,6 +49,32 @@ def _parse_labels(data: dict, key: str) -> tuple[str, ...]:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError(f"machine {key} must be a list of strings")
     return tuple(labels)
+
+
+def _keyed(value: object, keys: Sequence[str], what: str) -> list:
+    # Exactly the keys `to_json_dict` writes, none missing and none extra;
+    # the values come in the order of `keys`.
+    if not isinstance(value, dict) or value.keys() != set(keys):
+        raise ValueError(f"{what} must have exactly the keys {', '.join(keys):.80}")
+    return [value[k] for k in keys]
+
+
+def _table(data: dict, key: str, states: tuple, inputs: tuple, parse: Callable) -> tuple:
+    return tuple(
+        tuple(map(parse, _keyed(row, inputs, f"machine {key}[{s!r}]")))
+        for s, row in zip(states, _keyed(data[key], states, f"machine {key}"))
+    )
+
+
+def _parse_row(entries: object, index: dict[str, int]) -> TransitionRow:
+    if not isinstance(entries, list):
+        raise ValueError(f"transition row is not a list: {entries!r:.40}")
+    row = []
+    for to, prob in (_keyed(e, ("to", "prob"), "transition entry") for e in entries):
+        if not isinstance(to, str) or to not in index:
+            raise ValueError(f"transition to an unknown state: {to!r:.40}")
+        row.append((index[to], _parse_prob(prob)))
+    return tuple(row)
 
 
 def uniform_row(successors: Iterable[int]) -> TransitionRow:
@@ -172,30 +199,15 @@ class MealyMachine:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MealyMachine":
+        _keyed(data, ("name", "inputs", "states", "outputs", "transitions"), "machine")
+        if not isinstance(data["name"], str):
+            raise ValueError(f"machine name is not a string: {data['name']!r:.40}")
         states = _parse_labels(data, "states")
         inputs = _parse_labels(data, "inputs")
         index = {label: i for i, label in enumerate(states)}
-        outputs = tuple(
-            tuple(_parse_output(data["outputs"][label][inp]) for inp in inputs)
-            for label in states
-        )
-        transitions = tuple(
-            tuple(
-                tuple(
-                    (index[entry["to"]], _parse_prob(entry["prob"]))
-                    for entry in data["transitions"][label][inp]
-                )
-                for inp in inputs
-            )
-            for label in states
-        )
-        return cls(
-            name=str(data.get("name", "machine")),
-            states=states,
-            inputs=inputs,
-            outputs=outputs,
-            transitions=transitions,
-        )
+        outputs = _table(data, "outputs", states, inputs, _parse_output)
+        transitions = _table(data, "transitions", states, inputs, lambda r: _parse_row(r, index))
+        return cls(data["name"], states, inputs, outputs, transitions)
 
     @classmethod
     def from_json(cls, text: str) -> "MealyMachine":
@@ -247,37 +259,27 @@ def enumerate_transcripts(
 ) -> tuple[Transcript, ...]:
     """All positive-probability output/state paths for an input sequence.
 
-    Transcripts with identical outputs and end state are merged by summing
-    probabilities.  On a partial machine, branches that hit an undefined
-    transition before the sequence ends are dropped, so the probabilities
-    may sum to less than 1; on total machines they sum to exactly 1.
+    One forward pass over the inputs merges paths with equal outputs and
+    state at every step, so run length has no limit.  The last output needs
+    no transition: an undefined row there ends the run in its state.  On a
+    partial machine, branches that hit an undefined transition earlier are
+    dropped, so the probabilities may sum to less than 1; on total machines
+    they sum to exactly 1.  Sorted by outputs, then end state index.
     """
     s0 = m.state_index(start)
     idx_seq = [m.input_index(o) for o in seq]
-    merged: dict[tuple[tuple[int, ...], int], Fraction] = {}
-
-    def walk(s: int, pos: int, outputs: tuple[int, ...], prob: Fraction) -> None:
-        if pos == len(idx_seq):
-            key = (outputs, s)
-            merged[key] = merged.get(key, Fraction(0)) + prob
-            return
-        i = idx_seq[pos]
-        out = m.outputs[s][i]
-        row = m.transitions[s][i]
-        if pos == len(idx_seq) - 1:
-            # Last output needs no outgoing transition; on partial machines
-            # the row may be empty, the run still ends in state s.
-            if not row:
-                key = (outputs + (out,), s)
-                merged[key] = merged.get(key, Fraction(0)) + prob
-                return
-        for t, p in row:
-            walk(t, pos + 1, outputs + (out,), prob * p)
-
-    walk(s0, 0, (), Fraction(1))
+    runs: dict[tuple[tuple[int, ...], int], Fraction] = {((), s0): Fraction(1)}
+    for pos, i in enumerate(idx_seq, 1):
+        advanced: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for (outputs, s), prob in runs.items():
+            outputs += (m.outputs[s][i],)
+            row = m.transitions[s][i]
+            if not row and pos == len(idx_seq):
+                row = ((s, Fraction(1)),)
+            for t, p in row:
+                advanced[outputs, t] = advanced.get((outputs, t), 0) + prob * p
+        runs = advanced
     return tuple(
         Transcript(tuple(seq), outputs, prob, m.states[s])
-        for (outputs, s), prob in sorted(
-            merged.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        )
+        for (outputs, s), prob in sorted(runs.items())
     )

@@ -119,6 +119,41 @@ def test_verify_reports_match_golden_hashes(capsys, machine, depth, fmt):
     assert hashlib.sha256(kept.encode()).hexdigest() == GOLDEN_REPORTS[machine, depth, fmt]
 
 
+# sha256 of the rest of the CLI's outputs, recorded at commit 7ed772f. None
+# of them carries a timing, so each must stay byte-identical across commits.
+GOLDEN_OUTPUTS = {
+    "search --family paper4 --depth 4 --format json": "63268a141b068bfa1955f79924dfc9a622a77d4d05f66df36c37f91e534ff919",
+    "search --family paper4 --depth 4 --format text": "3e587f76d73d14c8dce7f34b497308618aa09147392013f2fc9adbf4f08a1ba8",
+    "search --family cplus16 --depth 4 --format json": "9c0e6143a13a2c9d08a4fda7a5e3310b0bb2ccc72445370fc946bd79501329b2",
+    "search --family cplus16 --depth 4 --format text": "ae6994632dbe7ee376baf21de6f80f46421b13a949cfed0ee0ec3ac8253ef12a",
+    "search --family all32-bit2 --depth 4 --format json": "4bb5b5a025aa86a770a94472278690e15835636408e9fd105599371dd4d54732",
+    "search --family all32-bit2 --depth 4 --format text": "ccf07d6dc7a1690c45518287a54a6a60574c360a34aa99a0cffba46178bb957e",
+    "dump --machine spekkens16 --format json": "8d62343bbda48b8970b984b591d8d8af95a0f401884067c4e78fb0ec779dc742",
+    "dump --machine spekkens16 --format text": "c1d9004485769c2e481fe9377cea52d0cdc1df19fc9e151a1f9f57418874846b",
+    "dump --machine spekkens16 --format text-table": "c1d9004485769c2e481fe9377cea52d0cdc1df19fc9e151a1f9f57418874846b",
+    "dump --machine extended32 --format json": "34f4a8dde77e1665fafa00fcf016c4f995c86b47f270f013363070ee3bcd754f",
+    "dump --machine extended32 --format text": "d44efe15445604450efe65ae104db1931b4c0a4a08495990d370cc1b06b8c53e",
+    "dump --machine extended32 --format text-table": "d44efe15445604450efe65ae104db1931b4c0a4a08495990d370cc1b06b8c53e",
+    "dump --machine extended32-randomized --format json": "b4c2b12de27e39697d25aa09421e2877cd6e3c09d54d2c5dfa2545de1bcdd7f2",
+    "dump --machine extended32-randomized --format text": "bb91ff23c8c4392264c88f5f4f77d80f1bbe016329af40b92a74cea5501645f4",
+    "dump --machine extended32-randomized --format text-table": "bb91ff23c8c4392264c88f5f4f77d80f1bbe016329af40b92a74cea5501645f4",
+    "dump --machine paper4 --format json": "9a4471bc2ada7e1150606d2b4821d398e242005ffbf15119a2e027d053219810",
+    "dump --machine paper4 --format text": "d35191e67e1adbd626ad716aab144a543444cc6396f4b270ad09e5a2b1cc8fcb",
+    "dump --machine paper4 --format text-table": "d35191e67e1adbd626ad716aab144a543444cc6396f4b270ad09e5a2b1cc8fcb",
+    "ks-scan --format json": "425e36266c014f9fb1c44010e06b069df2271a80c9d24a55727c83037478dea1",
+    "ks-scan --format text": "cc8d1ee2d90c53fe9496221cb22063ae6ae060c6586ffcf78f7d86bb92052686",
+    "simulate --machine extended32-randomized --start a --seq Z1Z2,X1X2,Y1Y2,Z1,X2,Z1Z2 --seed 7": "b4989c4d261d638bec7cf12b396a9fc5bf1990ba931c3de75afbe3f499377c83",
+    "simulate --machine spekkens16 --start ++++ --seq Z1,X1X2,Y1Y2,Z1X2,X1 --seed 11": "2c48eee6d3df4ac13f2b59e61c16937f5e989d2023de90832c7aa568a44ba540",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUTS))
+def test_outputs_match_golden_hashes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[argv]
+
+
 def test_verify_has_no_seed_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--machine", "paper4", "--seed", "7"])
@@ -183,6 +218,19 @@ def test_verify_machine_file_with_a_non_integer_output_exit_two(capsys, tmp_path
     assert code == 2
     assert "cannot load machine" in err and "output" in err
 
+
+
+def test_verify_machine_file_with_keys_to_json_dict_never_writes_exit_two(capsys, tmp_path):
+    data = four_state_machine().to_json_dict()
+    data["name"] = [1, {"x": None}]
+    data["outputs"]["zz"] = data["outputs"]["a"]
+    data["extra"] = True
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--machine", str(path), "--depth", "2")
+    assert code == 2
+    assert "cannot load machine" in err
+    assert out == ""
 
 def _machine_file(tmp_path, inputs):
     # paper4's file with its input columns renamed in place; a name given

@@ -1,5 +1,7 @@
 """Mealy machine engine: stepping, enumeration, validation, JSON round-trips."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtoy import pauli
-from pmtoy.extension import extended_machine, four_state_machine
+from pmtoy.extension import (
+    VARIANT_TRIGGERS,
+    extended_machine,
+    four_state_machine,
+    variant_machine,
+)
 from pmtoy.machine import (
     MealyMachine,
     Transcript,
@@ -18,6 +25,7 @@ from pmtoy.machine import (
     uniform_row,
 )
 from pmtoy.toy import spekkens_machine
+from pmtoy.verify import FAMILIES
 
 
 def _tiny_machine(**overrides):
@@ -164,6 +172,94 @@ def test_partial_machine_transcripts_drop_dead_branches():
     assert ts[0].end_state == "a"
 
 
+def _reference_transcripts(m, start, seq):
+    # Literal reference: every path of m from start, one call per path, with
+    # equal (outputs, end state) merged only at the end of each path.
+    merged = {}
+
+    def walk(s, pos, outputs, prob):
+        if pos == len(seq):
+            merged[outputs, s] = merged.get((outputs, s), Fraction(0)) + prob
+            return
+        i = m.input_index(seq[pos])
+        row = m.transitions[s][i]
+        if not row and pos == len(seq) - 1:
+            row = ((s, Fraction(1)),)  # the last output needs no transition
+        for t, p in row:
+            walk(t, pos + 1, outputs + (m.outputs[s][i],), prob * p)
+
+    walk(m.state_index(start), 0, (), Fraction(1))
+    return tuple(
+        Transcript(tuple(seq), outputs, merged[outputs, s], m.states[s])
+        for outputs, s in sorted(merged)
+    )
+
+
+def _random_partial_machine(seed, n=6):
+    # Value-preserving, stochastic with unequal weights, and partial.
+    rng = random.Random(seed)
+    inputs = pauli.OBSERVABLE_NAMES
+    outputs = tuple(tuple(rng.choice((1, -1)) for _ in inputs) for _ in range(n))
+    transitions = []
+    for s in range(n):
+        row = []
+        for i in range(len(inputs)):
+            domain = [t for t in range(n) if outputs[t][i] == outputs[s][i]]
+            if rng.random() < 0.25:
+                row.append(())
+                continue
+            succ = rng.sample(domain, rng.randint(1, len(domain)))
+            weights = [rng.randint(1, 5) for _ in succ]
+            row.append(tuple((t, Fraction(w, sum(weights))) for t, w in zip(succ, weights)))
+        transitions.append(tuple(row))
+    return MealyMachine(
+        f"random-partial-{seed}", tuple(f"r{s}" for s in range(n)), inputs, outputs, tuple(transitions)
+    )
+
+
+REFERENCE_MACHINES = {
+    "spekkens16": spekkens_machine,
+    "extended32": extended_machine,
+    "extended32-randomized": lambda: extended_machine(randomized=True),
+    "paper4": four_state_machine,
+    **{f"variant-{kind}": lambda kind=kind: variant_machine(kind) for kind in VARIANT_TRIGGERS},
+    **{f"family-{name}": build for name, build in FAMILIES.items()},
+    **{f"random-partial-{seed}": lambda seed=seed: _random_partial_machine(seed) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MACHINES))
+def test_enumeration_matches_the_path_by_path_reference(name):
+    m = REFERENCE_MACHINES[name]()
+    n = len(m.states)
+    calls = [
+        (start, seq)
+        for start in (0, n - 1)
+        for length in range(4)
+        for seq in itertools.product(m.inputs, repeat=length)
+    ]
+    rng = random.Random(name)
+    width = max(len(row) for srow in m.transitions for row in srow)
+    for _ in range(20):
+        length = rng.randint(4, 8)
+        # Lengths shrink until the reference lists at most 20 000 paths.
+        while width**length > 20_000:
+            length -= 1
+        calls.append((rng.randrange(n), [rng.choice(m.inputs) for _ in range(length)]))
+    for start, seq in calls:
+        got = enumerate_transcripts(m, start, seq)
+        assert got == _reference_transcripts(m, start, seq), (start, seq)
+        assert all(type(t.probability) is Fraction for t in got)
+
+
+def test_a_long_deterministic_run_is_one_transcript():
+    m = extended_machine()
+    ts = enumerate_transcripts(m, 0, ["Z1Z2", "X1X2", "Y1Y2"] * 1000)
+    assert len(ts) == 1
+    assert ts[0].probability == 1
+    assert len(ts[0].outputs) == 3000
+
+
 @pytest.mark.parametrize(
     "build",
     [spekkens_machine, lambda: extended_machine(False), lambda: extended_machine(True), four_state_machine],
@@ -194,4 +290,25 @@ def test_from_json_dict_reads_labels_only_as_lists_of_strings(key, value):
     data = four_state_machine().to_json_dict()
     data[key] = value
     with pytest.raises(ValueError, match=f"machine {key} must be a list of strings"):
+        MealyMachine.from_json_dict(data)
+
+
+FOREIGN_EDITS = {
+    "name-not-a-string": lambda d: d.update(name=[1, {"x": None}]),
+    "no-name": lambda d: d.pop("name"),
+    "extra-top-level-key": lambda d: d.update(extra=1),
+    "outputs-row-for-an-unknown-state": lambda d: d["outputs"].update(zz=d["outputs"]["a"]),
+    "transitions-row-missing-an-input": lambda d: d["transitions"]["a"].pop("Z1"),
+    "transition-row-not-a-list": lambda d: d["transitions"]["a"].update(Z1=""),
+    "entry-with-an-extra-key": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(x=1),
+    "entry-to-an-unknown-state": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(to="zz"),
+    "entry-to-a-list": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(to=["a"]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FOREIGN_EDITS))
+def test_from_json_dict_reads_only_what_to_json_dict_writes(edit):
+    data = json.loads(four_state_machine().to_json())
+    FOREIGN_EDITS[edit](data)
+    with pytest.raises(ValueError):
         MealyMachine.from_json_dict(data)
