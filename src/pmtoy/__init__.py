@@ -26,10 +26,8 @@ from .pauli import (
     PauliWord,
     commutes,
     context_product_sign,
-    ks_parity_scan,
     ks_scan_summary,
     maximally_mixed,
-    pauli_matrix,
     qm_outcome_tree,
     tree_transcripts,
 )

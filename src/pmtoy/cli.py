@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="dump all state tables with context products")
     p.set_defaults(handler=cmd_dump)
     p.add_argument("--machine", required=True)
-    add_common(p, ["text-table", "text", "json"], "text-table")
+    add_common(p, ["text", "json"], "text")
 
     p = sub.add_parser("search", help="search completions of a candidate family")
     p.set_defaults(handler=cmd_search)

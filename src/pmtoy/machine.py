@@ -8,9 +8,10 @@ its listed successors, from one state up to eight (cplus16), so weights
 such as 1/3 (all32-bit2) stay exact.  Machines are immutable after
 construction and safe to share.
 
-Two structural invariants are enforced at build time: every distribution
-sums to exactly 1, and every positive-probability successor assigns the
-measured input the same output as the current state (value preservation).
+Structural invariants are enforced at build time: a machine has at least
+one state, every distribution names each successor once and sums to
+exactly 1, and every positive-probability successor assigns the measured
+input the same output as the current state (value preservation).
 A transition row may also be empty, marking a deliberately partial
 machine such as the four-state diagram fixture.
 """
@@ -100,6 +101,8 @@ class MealyMachine:
 
     def __post_init__(self) -> None:
         n, k = len(self.states), len(self.inputs)
+        if n == 0:
+            raise ValueError("machine has no states")
         if len(set(self.states)) != n:
             raise ValueError("duplicate state labels")
         if len(set(self.inputs)) != k:
@@ -117,6 +120,10 @@ class MealyMachine:
                 row = self.transitions[s][i]
                 if not row:
                     continue
+                if len({t for t, _ in row}) != len(row):
+                    raise ValueError(
+                        f"repeated successor at ({self.states[s]},{self.inputs[i]})"
+                    )
                 total = sum(p for _, p in row)
                 if total != 1:
                     raise ValueError(

@@ -7,20 +7,20 @@ maximally mixed state, and the brute-force parity scan over all 512
 noncontextual sign assignments.
 
 Every matrix entry occurring here is a dyadic Gaussian rational, so
-float64 complex arithmetic is exact; the tolerances below are contracts,
-not working margins.
+float64 complex arithmetic is exact; the tolerance PROB_TOL below is a
+contract, not a working margin.
 
-numpy is imported only where a matrix is built: by `pauli_matrix`,
-`PauliWord.matrix`, `context_product_sign`, `maximally_mixed`,
-`is_density_operator`, `qm_outcome_tree` and the first read of
-`SINGLE_QUBIT`.  The CLI, the machines and the verifier use only the
-names, contexts, commutation test and parity scans, so they never load it.
+numpy is imported only where a matrix is built: by `PauliWord.matrix`,
+`context_product_sign`, `maximally_mixed` and `qm_outcome_tree`.  The CLI,
+the machines and the verifier use only the names, contexts, commutation
+test and parity scan, so they never load it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 PROB_TOL = 1e-12
-DENSITY_TOL = 1e-10
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
 
@@ -45,14 +44,6 @@ def _single_qubit() -> Mapping[str, np.ndarray]:
     }
 
 
-def __getattr__(name: str):
-    # PEP 562: `SINGLE_QUBIT` is built on first access, so importing this
-    # module does not import numpy.
-    if name == "SINGLE_QUBIT":
-        return _single_qubit()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class PauliWord:
     """A two-qubit Pauli product; factor1 is the high-order (left) tensor factor."""
@@ -66,6 +57,7 @@ class PauliWord:
                 raise ValueError(f"not a Pauli letter: {f!r}")
 
     def matrix(self) -> np.ndarray:
+        """4x4 Hermitian unitary matrix of the word."""
         import numpy as np
 
         single = _single_qubit()
@@ -78,11 +70,6 @@ class PauliWord:
 ALL_WORDS: tuple[PauliWord, ...] = tuple(
     PauliWord(a, b) for a in PAULI_LETTERS for b in PAULI_LETTERS
 )
-
-
-def pauli_matrix(word: PauliWord) -> np.ndarray:
-    """4x4 Hermitian unitary matrix of a two-qubit Pauli word."""
-    return word.matrix()
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -175,21 +162,6 @@ def maximally_mixed() -> np.ndarray:
     return np.eye(4, dtype=complex) / 4
 
 
-def is_density_operator(rho: np.ndarray, tol: float = DENSITY_TOL) -> bool:
-    """Hermitian, unit trace, positive semidefinite within tol."""
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        return False
-    if not np.allclose(rho, rho.conj().T, atol=tol):
-        return False
-    if abs(np.trace(rho) - 1) > tol:
-        return False
-    eigvals = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    return bool(eigvals.min() > -tol)
-
-
 @dataclass(frozen=True)
 class OutcomeBranch:
     outcome: int
@@ -205,18 +177,13 @@ class OutcomeNode:
     branches: tuple[OutcomeBranch, ...]
 
 
-def _projectors(word: PauliWord) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    m = word.matrix()
-    eye = np.eye(4)
-    return (eye + m) / 2, (eye - m) / 2
-
-
 @functools.cache
 def _projector_table() -> Mapping[PauliWord, tuple[np.ndarray, np.ndarray]]:
-    """Eigenprojectors of all 16 two-qubit Pauli words."""
-    return {word: _projectors(word) for word in ALL_WORDS}
+    """Eigenprojectors (identity +/- M)/2 of all 16 two-qubit Pauli words."""
+    import numpy as np
+
+    eye = np.eye(4)
+    return {w: ((eye + w.matrix()) / 2, (eye - w.matrix()) / 2) for w in ALL_WORDS}
 
 
 def _as_word(obs: str | PauliWord) -> PauliWord:
@@ -228,11 +195,8 @@ def _as_word(obs: str | PauliWord) -> PauliWord:
         raise ValueError(f"unknown observable name: {obs!r}") from None
 
 
-def qm_outcome_tree(
-    seq: Sequence[str | PauliWord],
-    initial: np.ndarray | None = None,
-) -> OutcomeNode:
-    """Sequential projective measurement tree under the Lueders rule.
+def qm_outcome_tree(seq: Sequence[str | PauliWord]) -> OutcomeNode:
+    """Sequential projective measurement tree under the Lueders rule, from I/4.
 
     At each step the state splits along the +/-1 eigenprojectors
     P = (identity +/- M)/2; surviving branches are renormalized and
@@ -242,9 +206,6 @@ def qm_outcome_tree(
 
     if len(seq) == 0:
         raise ValueError("measurement sequence must be non-empty")
-    rho = maximally_mixed() if initial is None else np.asarray(initial, dtype=complex)
-    if not is_density_operator(rho):
-        raise ValueError("initial state is not a density operator")
     words = [_as_word(o) for o in seq]
     projector_table = _projector_table()
 
@@ -263,7 +224,7 @@ def qm_outcome_tree(
             )
         return OutcomeNode(rho=state, branches=tuple(branches))
 
-    return build(rho, words)
+    return build(maximally_mixed(), words)
 
 
 def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -279,43 +240,22 @@ def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float
     yield from walk(root, (), 1.0)
 
 
-def _context_products() -> Iterator[dict[str, int]]:
-    """The six context products of each of the 2^9 sign tables, bits in grid order."""
-    for bits in itertools.product((+1, -1), repeat=9):
-        yield {
-            ctx: bits[3 * r0 + c0] * bits[3 * r1 + c1] * bits[3 * r2 + c2]
-            for ctx, ((r0, c0), (r1, c1), (r2, c2)) in CONTEXT_POSITIONS.items()
-        }
-
-
-def count_noncontextual_assignments(signs: Mapping[str, int]) -> int:
-    """Brute force over all 2^9 sign tables; count those meeting every context sign."""
-    return sum(
-        all(products[ctx] == s for ctx, s in signs.items())
-        for products in _context_products()
-    )
-
-
-def ks_parity_scan() -> int:
-    """Number of noncontextual sign tables satisfying the QM context signs (zero)."""
-    return count_noncontextual_assignments(PRESCRIBED_SIGN)
+def context_products(values: Sequence[int]) -> dict[str, int]:
+    """The six context products of nine signs given in grid order."""
+    return {
+        ctx: values[3 * r0 + c0] * values[3 * r1 + c1] * values[3 * r2 + c2]
+        for ctx, ((r0, c0), (r1, c1), (r2, c2)) in CONTEXT_POSITIONS.items()
+    }
 
 
 def ks_scan_summary() -> dict:
     """Full 512-table scan: QM and all-plus counts plus the -1-product histogram."""
-    qm = all_plus = 0
-    histogram: dict[int, int] = {}
-    total_products = set()
-    for products in _context_products():
-        qm += products == PRESCRIBED_SIGN
-        minus = list(products.values()).count(-1)
-        all_plus += minus == 0
-        histogram[minus] = histogram.get(minus, 0) + 1
-        total_products.add(-1 if minus % 2 else 1)
+    tables = [context_products(bits) for bits in itertools.product((+1, -1), repeat=9)]
+    minus = Counter(list(products.values()).count(-1) for products in tables)
     return {
-        "tables": 512,
-        "qm_satisfying": qm,
-        "all_plus_satisfying": all_plus,
-        "minus_product_histogram": {str(k): v for k, v in sorted(histogram.items())},
-        "six_product_values": sorted(total_products),
+        "tables": len(tables),
+        "qm_satisfying": sum(products == PRESCRIBED_SIGN for products in tables),
+        "all_plus_satisfying": minus[0],
+        "minus_product_histogram": {str(k): v for k, v in sorted(minus.items())},
+        "six_product_values": sorted({(-1) ** k for k in minus}),
     }

@@ -148,13 +148,7 @@ class SignTable:
         return self.values[r][c]
 
     def context_products(self) -> dict[str, Sign]:
-        products = {}
-        for ctx, positions in pauli.CONTEXT_POSITIONS.items():
-            p = 1
-            for r, c in positions:
-                p *= self.values[r][c]
-            products[ctx] = p
-        return products
+        return pauli.context_products([v for row in self.values for v in row])
 
     @classmethod
     def from_values(cls, value: Callable[[str], Sign]) -> "SignTable":

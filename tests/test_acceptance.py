@@ -81,7 +81,7 @@ def test_criterion_2_ks_impossibility():
             if products == [+1, +1, +1, +1, +1, -1]:
                 satisfying += 1
         assert satisfying == 0
-        assert pauli.ks_parity_scan() == 0
+        assert pauli.ks_scan_summary()["qm_satisfying"] == 0
 
 
 def test_criterion_3_toy_model_fidelity():

@@ -130,16 +130,12 @@ GOLDEN_OUTPUTS = {
     "search --family all32-bit2 --depth 4 --format text": "ccf07d6dc7a1690c45518287a54a6a60574c360a34aa99a0cffba46178bb957e",
     "dump --machine spekkens16 --format json": "8d62343bbda48b8970b984b591d8d8af95a0f401884067c4e78fb0ec779dc742",
     "dump --machine spekkens16 --format text": "c1d9004485769c2e481fe9377cea52d0cdc1df19fc9e151a1f9f57418874846b",
-    "dump --machine spekkens16 --format text-table": "c1d9004485769c2e481fe9377cea52d0cdc1df19fc9e151a1f9f57418874846b",
     "dump --machine extended32 --format json": "34f4a8dde77e1665fafa00fcf016c4f995c86b47f270f013363070ee3bcd754f",
     "dump --machine extended32 --format text": "d44efe15445604450efe65ae104db1931b4c0a4a08495990d370cc1b06b8c53e",
-    "dump --machine extended32 --format text-table": "d44efe15445604450efe65ae104db1931b4c0a4a08495990d370cc1b06b8c53e",
     "dump --machine extended32-randomized --format json": "b4c2b12de27e39697d25aa09421e2877cd6e3c09d54d2c5dfa2545de1bcdd7f2",
     "dump --machine extended32-randomized --format text": "bb91ff23c8c4392264c88f5f4f77d80f1bbe016329af40b92a74cea5501645f4",
-    "dump --machine extended32-randomized --format text-table": "bb91ff23c8c4392264c88f5f4f77d80f1bbe016329af40b92a74cea5501645f4",
     "dump --machine paper4 --format json": "9a4471bc2ada7e1150606d2b4821d398e242005ffbf15119a2e027d053219810",
     "dump --machine paper4 --format text": "d35191e67e1adbd626ad716aab144a543444cc6396f4b270ad09e5a2b1cc8fcb",
-    "dump --machine paper4 --format text-table": "d35191e67e1adbd626ad716aab144a543444cc6396f4b270ad09e5a2b1cc8fcb",
     "ks-scan --format json": "425e36266c014f9fb1c44010e06b069df2271a80c9d24a55727c83037478dea1",
     "ks-scan --format text": "cc8d1ee2d90c53fe9496221cb22063ae6ae060c6586ffcf78f7d86bb92052686",
     "simulate --machine extended32-randomized --start a --seq Z1Z2,X1X2,Y1Y2,Z1,X2,Z1Z2 --seed 7": "b4989c4d261d638bec7cf12b396a9fc5bf1990ba931c3de75afbe3f499377c83",
@@ -231,6 +227,47 @@ def test_verify_machine_file_with_keys_to_json_dict_never_writes_exit_two(capsys
     assert code == 2
     assert "cannot load machine" in err
     assert out == ""
+
+
+def _all_plus_machine_file(tmp_path, states, row):
+    names = list(four_state_machine().inputs)
+    data = {
+        "name": "odd",
+        "inputs": names,
+        "states": states,
+        "outputs": {s: {n: 1 for n in names} for s in states},
+        "transitions": {s: {n: row for n in names} for s in states},
+    }
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--depth", "3", "--format", "text"),
+        ("dump",),
+        ("simulate", "--start", "p", "--seq", "Z1"),
+    ],
+)
+@pytest.mark.parametrize(
+    "states, row, bad",
+    [
+        ([], [], "no states"),
+        (["p"], [{"to": "p", "prob": "1/2"}, {"to": "p", "prob": "1/2"}], "repeated successor"),
+    ],
+)
+def test_machine_file_with_no_states_or_a_repeated_successor_exit_two(
+    capsys, tmp_path, argv, states, row, bad
+):
+    # With no states, verify would check no sequence and pass.
+    path = _all_plus_machine_file(tmp_path, states, row)
+    code, out, err = run_cli(capsys, argv[0], "--machine", path, *argv[1:])
+    assert code == 2
+    assert "cannot load machine" in err and bad in err
+    assert out == ""
+
 
 def _machine_file(tmp_path, inputs):
     # paper4's file with its input columns renamed in place; a name given
@@ -357,6 +394,11 @@ def test_dump_text_table(capsys):
     assert code == 0
     assert "+++/+++/+++" in out
     assert "deviation: col3" in out and "deviation: row3" in out
+    # `text` is the one text format and the default.
+    assert run_cli(capsys, "dump", "--machine", "paper4", "--format", "text") == (code, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--machine", "paper4", "--format", "text-table"])
+    assert exc.value.code == 2
 
 
 def test_search_paper4(capsys):

@@ -87,6 +87,33 @@ def test_validation_rejects_duplicate_input_labels():
         )
 
 
+def test_validation_rejects_a_machine_with_no_states():
+    # Accepted, it would pass every check vacuously: no state, no run.
+    with pytest.raises(ValueError, match="no states"):
+        MealyMachine("empty", (), pauli.OBSERVABLE_NAMES, (), ())
+    data = {
+        "name": "empty",
+        "inputs": list(pauli.OBSERVABLE_NAMES),
+        "states": [],
+        "outputs": {},
+        "transitions": {},
+    }
+    with pytest.raises(ValueError, match="no states"):
+        MealyMachine.from_json_dict(data)
+
+
+def test_validation_rejects_a_repeated_successor():
+    # Accepted, search_machines counted the one deterministic sub-machine
+    # once per copy of the successor: 2^9 completions.
+    half = ((0, Fraction(1, 2)), (0, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="repeated successor"):
+        MealyMachine("twice", ("p",), pauli.OBSERVABLE_NAMES, ((+1,) * 9,), ((half,) * 9,))
+    data = _tiny_machine().to_json_dict()
+    data["transitions"]["p"]["Z1"] = [{"to": "q", "prob": "1/2"}, {"to": "q", "prob": "1/2"}]
+    with pytest.raises(ValueError, match=r"repeated successor at \(p,Z1\)"):
+        MealyMachine.from_json_dict(data)
+
+
 def test_state_and_input_lookup_errors():
     m = _tiny_machine()
     with pytest.raises(ValueError):

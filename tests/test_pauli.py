@@ -15,12 +15,7 @@ from pmtoy.pauli import (
     PauliWord,
     commutes,
     context_product_sign,
-    count_noncontextual_assignments,
-    is_density_operator,
-    ks_parity_scan,
     ks_scan_summary,
-    maximally_mixed,
-    pauli_matrix,
     qm_outcome_tree,
     tree_transcripts,
 )
@@ -33,26 +28,26 @@ def test_sixteen_distinct_words():
 
 
 def test_identity_word_gives_identity_matrix():
-    assert np.array_equal(pauli_matrix(PauliWord("I", "I")), np.eye(4))
+    assert np.array_equal(PauliWord("I", "I").matrix(), np.eye(4))
 
 
 def test_z1_matrix_is_diagonal_with_balanced_spectrum():
-    m = pauli_matrix(PauliWord("Z", "I"))
+    m = PauliWord("Z", "I").matrix()
     assert np.array_equal(m, np.diag([1, 1, -1, -1]))
     assert sorted(np.linalg.eigvalsh(m)) == [-1, -1, 1, 1]
 
 
 def test_all_words_square_to_identity():
     for w in ALL_WORDS:
-        m = pauli_matrix(w)
+        m = w.matrix()
         assert np.allclose(m @ m, np.eye(4), atol=1e-12)
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
 
 def test_last_column_operator_identity():
-    zz = pauli_matrix(PauliWord("Z", "Z"))
-    xx = pauli_matrix(PauliWord("X", "X"))
-    yy = pauli_matrix(PauliWord("Y", "Y"))
+    zz = PauliWord("Z", "Z").matrix()
+    xx = PauliWord("X", "X").matrix()
+    yy = PauliWord("Y", "Y").matrix()
     assert np.allclose(zz @ xx @ yy, -np.eye(4), atol=1e-12)
 
 
@@ -65,7 +60,7 @@ def test_commutes_examples():
 
 def test_commutes_agrees_with_matrix_commutator():
     for a, b in itertools.product(ALL_WORDS, repeat=2):
-        ma, mb = pauli_matrix(a), pauli_matrix(b)
+        ma, mb = a.matrix(), b.matrix()
         matrix_commute = np.allclose(ma @ mb, mb @ ma, atol=1e-12)
         assert commutes(a, b) == matrix_commute, (a, b)
 
@@ -165,27 +160,7 @@ def test_outcome_tree_measures_words_outside_the_square():
 
 def test_outcome_tree_rejects_bad_initial_state():
     with pytest.raises(ValueError):
-        qm_outcome_tree(["Z1"], initial=np.eye(4))  # trace 4, not a state
-    with pytest.raises(ValueError):
         qm_outcome_tree([])
-
-
-def test_outcome_tree_accepts_pure_initial_state():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    root = qm_outcome_tree(["Z1"], initial=rho)
-    # |00> is a +1 eigenstate of Z1: a single certain branch.
-    assert len(root.branches) == 1
-    assert root.branches[0].outcome == +1
-    assert root.branches[0].probability == pytest.approx(1.0, abs=1e-12)
-
-
-def test_is_density_operator():
-    assert is_density_operator(maximally_mixed())
-    assert not is_density_operator(np.eye(4))
-    skew = np.zeros((4, 4), dtype=complex)
-    skew[0, 1] = 1.0
-    assert not is_density_operator(skew)
 
 
 def test_ks_parity_scan_counts():
@@ -198,9 +173,9 @@ def test_ks_parity_scan_counts():
         if rows_ok and cols[0] == +1 and cols[1] == +1 and cols[2] == -1:
             satisfying += 1
     assert satisfying == 0
-    assert ks_parity_scan() == 0
-    all_plus = {ctx: +1 for ctx in PRESCRIBED_SIGN}
-    assert count_noncontextual_assignments(all_plus) == 16
+    summary = ks_scan_summary()
+    assert summary["qm_satisfying"] == 0
+    assert summary["all_plus_satisfying"] == 16
 
 
 def test_ks_scan_summary_parity():
