@@ -33,11 +33,9 @@ from .pauli import (
 )
 from .toy import (
     ALL_ONTIC,
-    EpistemicState,
     OnticState,
     SignTable,
     ToyBitOntic,
-    epistemic_update,
     ontic_machine,
     spekkens_machine,
     table_of,

@@ -6,14 +6,17 @@ product signs, sequential projective measurement (Lueders rule) from the
 maximally mixed state, and the brute-force parity scan over all 512
 noncontextual sign assignments.
 
-Every matrix entry occurring here is a dyadic Gaussian rational, so
+`measure_knowledge` and `knowledge_runs` give the exact rule: a knowledge
+state is the frozenset of fixed (observable, value) pairs, and with every
+context sign +1 (`toy.TOY_SIGN`) the same rule is Spekkens' toy model.
+`qm_outcome_tree` is the float matrix form, the reference the rule is
+tested against.  Its matrix entries are dyadic Gaussian rationals, so
 float64 complex arithmetic is exact; the tolerance PROB_TOL below is a
 contract, not a working margin.
 
 numpy is imported only where a matrix is built: by `PauliWord.matrix`,
 `context_product_sign`, `maximally_mixed` and `qm_outcome_tree`.  The CLI,
-the machines and the verifier use only the names, contexts, commutation
-test and parity scan, so they never load it.
+the machines, the verifier and the exact rule never load it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -138,6 +142,55 @@ PRESCRIBED_SIGN: Mapping[str, int] = {
 CONTEXT_SETS: Mapping[frozenset[str], int] = {
     frozenset(names): PRESCRIBED_SIGN[ctx] for ctx, names in CONTEXT_NAMES.items()
 }
+
+
+# A knowledge state: the (observable name, value) pairs fixed so far.
+Knowledge = frozenset[tuple[str, int]]
+
+
+def measure_knowledge(
+    k: Knowledge, name: str, signs: Mapping[str, int] = PRESCRIBED_SIGN
+) -> list[tuple[int, Fraction, Knowledge]]:
+    """The (value, weight, next state) branches of measuring `name` in state k.
+
+    A fixed value comes out with weight 1.  Otherwise each value v has
+    weight 1/2, and the next state keeps the fixed values compatible with
+    `name`, adds name = v, and fixes the third member of any context with
+    two fixed members to the context's sign times their product.
+    """
+    if name not in OBSERVABLES:
+        raise ValueError(f"not a PM observable: {name!r}")
+    fixed = dict(k)
+    if name in fixed:
+        return [(fixed[name], Fraction(1), k)]
+    word = OBSERVABLES[name]
+    branches = []
+    for v in (+1, -1):
+        nxt = {o: w for o, w in fixed.items() if commutes(OBSERVABLES[o], word)}
+        nxt[name] = v
+        # The fixed observables always lie in one context, so one pass closes them.
+        for ctx, names in CONTEXT_NAMES.items():
+            unknown = [o for o in names if o not in nxt]
+            if len(unknown) == 1:
+                a, b = (nxt[o] for o in names if o in nxt)
+                nxt[unknown[0]] = signs[ctx] * a * b
+        branches.append((v, Fraction(1, 2), frozenset(nxt.items())))
+    return branches
+
+
+def knowledge_runs(
+    seq: Sequence[str], signs: Mapping[str, int] = PRESCRIBED_SIGN
+) -> dict[tuple[int, ...], Fraction]:
+    """Exact weight of every outcome sequence of `seq`, from the empty state."""
+    # The outcomes so far determine the knowledge state, so each run carries one.
+    runs = {(): (Fraction(1), frozenset())}
+    for name in seq:
+        runs = {
+            outs + (v,): (w * p, nxt)
+            for outs, (w, k) in runs.items()
+            for v, p, nxt in measure_knowledge(k, name, signs)
+        }
+    return {outs: w for outs, (w, _) in runs.items()}
 
 
 def context_product_sign(context: str) -> int:

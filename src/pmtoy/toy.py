@@ -8,7 +8,9 @@ noncontextual model cannot match the quantum -1 in the last column.
 
 Measurement keeps the values of every PM observable compatible with the
 measured one and randomizes the rest: the successor is drawn uniformly
-from a two-element coset of generator-flip patterns.  The whole model is
+from a two-element coset of generator-flip patterns.  What an observer
+knows of the ontic state follows `pauli.measure_knowledge` with TOY_SIGN:
+the quantum rule with every context sign +1.  The whole model is
 also exposed as a 16-state stochastic Mealy machine, built by
 `ontic_machine`, which builds every machine and search family from
 labelled ontic states, a value rule and a successor rule.
@@ -182,6 +184,10 @@ def table_of(s: OnticState) -> SignTable:
     return SignTable.from_values(lambda name: observable_value(s, name))
 
 
+# The toy model's context signs: every ontic state's table multiplies to +1.
+TOY_SIGN: Mapping[str, Sign] = {ctx: +1 for ctx in pauli.CONTEXT_NAMES}
+
+
 # PM observables compatible with each observable (including itself),
 # straight from the operator algebra.
 COMMUTING: Mapping[str, frozenset[str]] = {
@@ -238,37 +244,6 @@ def toy_measure(
     """
     outcome = observable_value(s, name)
     return outcome, rng.choice(coset(s, name))
-
-
-@dataclass(frozen=True)
-class EpistemicState:
-    """A state of knowledge: the set of ontic states compatible with it."""
-
-    members: frozenset[OnticState]
-
-    @classmethod
-    def ignorance(cls) -> "EpistemicState":
-        return cls(frozenset(ALL_ONTIC))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, s: OnticState) -> bool:
-        return s in self.members
-
-
-def epistemic_update(e: EpistemicState, name: str, v: Sign) -> EpistemicState:
-    """Condition on measuring `name` with outcome v.
-
-    The result is every state reachable by the measurement update from a
-    member that would have produced v; an empty result means the outcome
-    has probability zero.
-    """
-    reachable: set[OnticState] = set()
-    for s in e.members:
-        if observable_value(s, name) == v:
-            reachable.update(coset(s, name))
-    return EpistemicState(frozenset(reachable))
 
 
 _State = TypeVar("_State", bound=Hashable)

@@ -11,9 +11,9 @@ positive-probability run satisfies two constraints:
 
 Passing the gate is necessary for reproducing the quantum predictions but
 not sufficient.  From ++++/col, `extended32` emits Z1, Z2, X1X2, Z1Z2 ->
-(+1, +1, +1, -1), a run that satisfies (R) and (C), even read strictly,
-yet has quantum probability 0: Z1Z2 is fixed by the earlier Z1 and Z2
-outcomes and commutes with X1X2.
+(+1, +1, +1, -1), a run that satisfies (R) and (C), yet the exact oracle
+`pauli.knowledge_runs` gives it probability 0: Z1Z2 is fixed by the
+earlier Z1 and Z2 outcomes and commutes with X1X2.
 
 `check_transcript` applies the constraints literally to one run.  All
 other verdicts walk one product graph, machine x (R)+(C) monitor, built by
@@ -97,12 +97,12 @@ class Violation:
 
 
 def _check_run(
-    inputs: Sequence[str],
-    outputs: Sequence[int],
-    start: str | None = None,
-    strict_contexts: bool = False,
+    inputs: Sequence[str], outputs: Sequence[int], start: str | None = None
 ) -> list[Violation]:
     ins, outs = tuple(inputs), tuple(outputs)
+    for nm in ins:
+        if nm not in pauli.OBSERVABLES:
+            raise ValueError(f"not a PM observable: {nm!r}")
     n = len(ins)
     violations: list[Violation] = []
     for p in range(n):
@@ -130,42 +130,12 @@ def _check_run(
                     CONTEXT_PRODUCT, start, ins, outs, (k, k + 1, k + 2), sign, prod
                 )
             )
-    if strict_contexts:
-        # Stronger reading: a context completed across compatible
-        # interleavings, each earlier outcome still in force at the last
-        # position.  Reported informationally, never part of the gate.
-        for p, q, r in itertools.combinations(range(n), 3):
-            if q - p == 1 and r - q == 1:
-                continue
-            triple = (ins[p], ins[q], ins[r])
-            if len(set(triple)) != 3:
-                continue
-            sign = pauli.CONTEXT_SETS.get(frozenset(triple))
-            if sign is None:
-                continue
-            in_force = all(
-                compatible(ins[m], ins[p]) for m in range(p + 1, r) if m != q
-            ) and all(compatible(ins[m], ins[q]) for m in range(q + 1, r))
-            if in_force and outs[p] * outs[q] * outs[r] != sign:
-                violations.append(
-                    Violation(
-                        CONTEXT_PRODUCT,
-                        start,
-                        ins,
-                        outs,
-                        (p, q, r),
-                        sign,
-                        outs[p] * outs[q] * outs[r],
-                    )
-                )
     return violations
 
 
-def check_transcript(
-    t: Transcript, start: str | None = None, strict_contexts: bool = False
-) -> list[Violation]:
+def check_transcript(t: Transcript, start: str | None = None) -> list[Violation]:
     """All (R) and (C) breaches in one transcript."""
-    return _check_run(t.inputs, t.outputs, start, strict_contexts)
+    return _check_run(t.inputs, t.outputs, start)
 
 
 @dataclass(frozen=True)
@@ -272,6 +242,8 @@ def verify_machine(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if max_violations < 1:
+        raise ValueError("max_violations must be >= 1")
     names = m.inputs
     t0 = time.perf_counter()
     k = len(names)
@@ -281,6 +253,8 @@ def verify_machine(
         start_indices = range(len(m.states))
     else:
         start_indices = [m.state_index(s) for s in starts]
+        if not start_indices:
+            raise ValueError("starts must name at least one state")
     parent: dict[_Key, tuple[_Key, int] | None] = {
         (s, 0, 0, 0, 0): None for s in start_indices
     }

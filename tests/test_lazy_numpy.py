@@ -67,7 +67,12 @@ def test_matrix_api_imports_numpy_on_first_use():
         from pmtoy import pauli
         assert "numpy" not in sys.modules
 
-        # Z1 measured from I/4: the oracle itself loads numpy.
+        # The exact rule builds no matrix.
+        runs = pauli.knowledge_runs(["Z1", "X1"])
+        assert sorted(runs.values()) == [0.25] * 4
+        assert "numpy" not in sys.modules
+
+        # Z1 measured from I/4: the float oracle itself loads numpy.
         tree = pauli.qm_outcome_tree(["Z1"])
         assert [(b.outcome, b.probability) for b in tree.branches] == [(1, 0.5), (-1, 0.5)]
         assert "numpy" in sys.modules

@@ -1,6 +1,7 @@
 """Operator algebra, PM square structure, outcome trees, and the parity scan."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from pmtoy.pauli import (
     PauliWord,
     commutes,
     context_product_sign,
+    knowledge_runs,
     ks_scan_summary,
+    maximally_mixed,
+    measure_knowledge,
     qm_outcome_tree,
     tree_transcripts,
 )
@@ -161,6 +165,70 @@ def test_outcome_tree_measures_words_outside_the_square():
 def test_outcome_tree_rejects_bad_initial_state():
     with pytest.raises(ValueError):
         qm_outcome_tree([])
+
+
+def _reachable_knowledge(signs):
+    """Every knowledge state reachable from the empty one, in discovery order."""
+    states = [frozenset()]
+    for k in states:
+        for name in OBSERVABLE_NAMES:
+            for _, _, nxt in measure_knowledge(k, name, signs):
+                if nxt not in states:
+                    states.append(nxt)
+    return states
+
+
+def _projector(name, v):
+    return (np.eye(4) + v * OBSERVABLES[name].matrix()) / 2
+
+
+def _density(k):
+    """I/4 projected onto the fixed values of k, renormalized."""
+    rho = maximally_mixed()
+    for name, v in k:
+        rho = _projector(name, v) @ rho @ _projector(name, v)
+    return rho / np.trace(rho).real
+
+
+def test_knowledge_rule_is_the_lueders_rule_on_every_reachable_state():
+    # Induction on the length: the empty state is I/4, and from each of the
+    # 43 reachable states every measurement's Lueders branches are exactly
+    # the rule's branches, so the rule equals QM at every length.
+    states = _reachable_knowledge(PRESCRIBED_SIGN)
+    assert Counter(len(k) for k in states) == {0: 1, 1: 18, 3: 24}
+    assert np.array_equal(_density(frozenset()), maximally_mixed())
+    for k in states:
+        rho = _density(k)
+        for name in OBSERVABLE_NAMES:
+            lueders = {}
+            for v in (+1, -1):
+                proj = _projector(name, v)
+                p = np.trace(proj @ rho).real
+                if p != 0:
+                    lueders[v] = (p, proj @ rho @ proj / p)
+            branches = measure_knowledge(k, name)
+            assert [v for v, _, _ in branches] == list(lueders), (k, name)
+            for v, w, nxt in branches:
+                p, post = lueders[v]
+                assert w == p
+                assert np.array_equal(post, _density(nxt)), (k, name, v)
+
+
+def test_knowledge_runs_equal_the_float_oracle():
+    short = [
+        seq for n in (1, 2, 3) for seq in itertools.product(OBSERVABLE_NAMES, repeat=n)
+    ]
+    length4 = itertools.islice(itertools.product(OBSERVABLE_NAMES, repeat=4), 0, None, 37)
+    for seq in [*short, *length4]:
+        exact = {outs: float(w) for outs, w in knowledge_runs(seq).items()}
+        assert exact == dict(tree_transcripts(qm_outcome_tree(seq))), seq
+
+
+def test_knowledge_rule_accepts_only_the_nine_names():
+    with pytest.raises(ValueError, match="not a PM observable"):
+        measure_knowledge(frozenset(), "Y1")
+    with pytest.raises(ValueError, match="not a PM observable"):
+        knowledge_runs(["Z1", PauliWord("Z", "I")])
 
 
 def test_ks_parity_scan_counts():

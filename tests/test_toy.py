@@ -1,23 +1,25 @@
-"""Toy-bit partitions, sign tables, measurement cosets, and epistemic updates."""
+"""Toy-bit partitions, sign tables, measurement cosets, and the toy knowledge rule."""
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from pm_figures import FIGURE_16
 from pmtoy import pauli
 from pmtoy.machine import enumerate_transcripts
+from pmtoy.pauli import measure_knowledge
 from pmtoy.toy import (
     ALL_ONTIC,
     COMMUTING,
+    TOY_SIGN,
     TOYBIT_CELLS,
-    EpistemicState,
     OnticState,
     SignTable,
     ToyBitOntic,
     coset,
-    epistemic_update,
     observable_value,
     spekkens_machine,
     table_of,
@@ -179,25 +181,67 @@ def test_repeated_measurement_equal_over_all_branches():
                 assert observable_value(nxt, name) == first
 
 
+def _members(k):
+    """The ontic states that give every value fixed in the knowledge state k."""
+    return frozenset(s for s in ALL_ONTIC if all(observable_value(s, o) == v for o, v in k))
+
+
+def _toy_branches(k, name):
+    return {v: (w, nxt) for v, w, nxt in measure_knowledge(k, name, TOY_SIGN)}
+
+
 def test_epistemic_ignorance_and_single_question():
-    e = EpistemicState.ignorance()
-    assert len(e) == 16
-    e1 = epistemic_update(e, "Z1", +1)
-    assert len(e1) == 8
-    assert all(s.z1 == +1 for s in e1.members)
+    assert len(_members(frozenset())) == 16
+    w, k1 = _toy_branches(frozenset(), "Z1")[+1]
+    assert w == Fraction(1, 2)
+    assert len(_members(k1)) == 8
+    assert all(s.z1 == +1 for s in _members(k1))
 
 
 def test_epistemic_contradictory_conditioning_is_empty():
-    e = EpistemicState.ignorance()
-    e1 = epistemic_update(e, "Z1", +1)
-    assert len(epistemic_update(e1, "Z1", -1)) == 0
+    _, k1 = _toy_branches(frozenset(), "Z1")[+1]
+    assert set(_toy_branches(k1, "Z1")) == {+1}
+    assert _members(k1 | {("Z1", -1)}) == frozenset()
 
 
 def test_epistemic_two_questions_reach_maximal_knowledge():
-    e = EpistemicState.ignorance()
-    e2 = epistemic_update(epistemic_update(e, "Z1", +1), "Z2", +1)
-    assert len(e2) == 4
-    assert all(s.z1 == +1 and s.z2 == +1 for s in e2.members)
+    _, k1 = _toy_branches(frozenset(), "Z1")[+1]
+    _, k2 = _toy_branches(k1, "Z2")[+1]
+    assert len(_members(k2)) == 4
+    assert all(s.z1 == +1 and s.z2 == +1 for s in _members(k2))
+
+
+def _conditioned(members, name, v):
+    """Ontic-set conditioning: every state the measurement update reaches
+    from a member that gives v; empty when v has probability zero."""
+    reachable = set()
+    for s in members:
+        if observable_value(s, name) == v:
+            reachable.update(coset(s, name))
+    return frozenset(reachable)
+
+
+def test_toy_rule_is_ontic_set_conditioning_on_every_reachable_state():
+    # Induction on the length: from each of the 43 reachable toy states the
+    # rule's branches are exactly the ontic-set update's, with the share of
+    # members giving v as the weight.
+    states = [frozenset()]
+    for k in states:
+        for name in pauli.OBSERVABLE_NAMES:
+            branches = _toy_branches(k, name)
+            for v in (+1, -1):
+                reached = _conditioned(_members(k), name, v)
+                if not reached:
+                    assert v not in branches, (k, name, v)
+                    continue
+                w, nxt = branches[v]
+                giving_v = [s for s in _members(k) if observable_value(s, name) == v]
+                assert w == Fraction(len(giving_v), len(_members(k)))
+                assert _members(nxt) == reached, (k, name, v)
+                if nxt not in states:
+                    states.append(nxt)
+    assert len(states) == 43
+    assert Counter(len(_members(k)) for k in states) == {16: 1, 8: 18, 4: 24}
 
 
 def test_spekkens_machine_structure():

@@ -18,7 +18,7 @@ from pmtoy.machine import (
     enumerate_transcripts,
     uniform_row,
 )
-from pmtoy.pauli import qm_outcome_tree, tree_transcripts
+from pmtoy.pauli import knowledge_runs, qm_outcome_tree, tree_transcripts
 from pmtoy.toy import ontic_machine, spekkens_machine
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
@@ -70,15 +70,19 @@ def test_check_transcript_incompatible_interleaving_breaks_the_chain():
     assert check_transcript(_t(["X1X2", "Z1", "X1X2"], [-1, +1, +1])) == []
 
 
-def test_check_transcript_strict_reading_detects_interleaved_context():
-    # Context completed across a compatible interleave: Z1 commutes with
-    # Z1Z2, so the Z1Z2 outcome is still in force at the end.
-    t = _t(["Z1Z2", "Z1", "X1X2", "Y1Y2"], [+1, +1, +1, +1])
-    assert check_transcript(t) == []  # gate reading sees no consecutive triple
-    strict = check_transcript(t, strict_contexts=True)
-    assert len(strict) == 1
-    assert strict[0].positions == (0, 2, 3)
-    assert strict[0].expected == -1
+def test_check_transcript_rejects_names_outside_the_square():
+    for inputs in (("Q", "R", "Q"), ("Q", "Q")):
+        with pytest.raises(ValueError, match="not a PM observable: 'Q'"):
+            check_transcript(_t(inputs, [+1, -1, +1][: len(inputs)]))
+
+
+def test_gate_passes_an_interleaved_context_the_exact_oracle_forbids():
+    # Z1 commutes with Z1Z2, so the Z1Z2 outcome is still in force when
+    # X1X2 and Y1Y2 complete column 3 with product +1; no three
+    # consecutive steps form the context, so the gate sees nothing.
+    seq = ("Z1Z2", "Z1", "X1X2", "Y1Y2")
+    assert check_transcript(_t(seq, [+1, +1, +1, +1])) == []
+    assert knowledge_runs(seq).get((+1, +1, +1, +1), 0) == 0
 
 
 def test_gate_passes_a_run_quantum_mechanics_forbids():
@@ -88,7 +92,7 @@ def test_gate_passes_a_run_quantum_mechanics_forbids():
     runs = {t.outputs: t for t in enumerate_transcripts(extended_machine(), "++++/col", seq)}
     assert runs[witness].probability > 0
     assert check_transcript(runs[witness]) == []
-    assert check_transcript(runs[witness], strict_contexts=True) == []
+    assert knowledge_runs(seq).get(witness, 0) == 0
     qm = dict(tree_transcripts(qm_outcome_tree(seq)))
     assert witness not in qm
     assert sum(qm.values()) == pytest.approx(1.0)
@@ -188,6 +192,19 @@ def test_verify_rejects_bad_arguments():
     )
     with pytest.raises(ValueError, match="not a PM observable"):
         verify_machine(bad, 2)
+
+
+def test_verify_rejects_max_violations_below_one():
+    # With no room for a witness, a failing machine used to be reported passed.
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="max_violations"):
+            verify_machine(spekkens_machine(), 3, max_violations=limit)
+
+
+def test_verify_rejects_an_empty_start_list():
+    # No start checks no sequence, so the machine used to pass vacuously.
+    with pytest.raises(ValueError, match="at least one state"):
+        verify_machine(spekkens_machine(), 3, starts=[])
 
 
 def test_verify_partial_machine_skips_undefined_continuations():
@@ -552,25 +569,12 @@ def test_cplus16_nonexistence_has_an_independent_argument():
                 assert not (repeat_ok and context_ok)
 
 
-def test_extended_machine_also_passes_the_strict_reading_at_depth_three():
-    # Informational: the gate uses the consecutive-triple reading, but the
-    # skeleton happens to satisfy interleaved context completions as well.
+def test_extended_machine_runs_at_depth_three_are_quantum_runs():
+    # Every run the skeleton emits within three steps has positive exact
+    # quantum weight; its first forbidden run has length four.
     m = extended_machine(False)
-    for start in range(len(m.states)):
-        for seq in itertools.product(pauli.OBSERVABLE_NAMES, repeat=3):
+    for seq in itertools.product(pauli.OBSERVABLE_NAMES, repeat=3):
+        qm = knowledge_runs(seq)
+        for start in range(len(m.states)):
             for t in enumerate_transcripts(m, start, seq):
-                assert check_transcript(t, m.states[start], strict_contexts=True) == []
-
-
-def test_oracle_soundness_sample_of_length_four_sequences():
-    # Full 9^4 coverage runs in the acceptance suite; spot-check both
-    # readings on a deterministic sample here.
-    from pmtoy.pauli import qm_outcome_tree, tree_transcripts
-
-    sample = list(itertools.islice(
-        itertools.product(pauli.OBSERVABLE_NAMES, repeat=4), 0, 6561, 37
-    ))
-    for seq in sample:
-        for outcomes, _ in tree_transcripts(qm_outcome_tree(seq)):
-            t = Transcript(tuple(seq), outcomes, Fraction(1), "qm")
-            assert check_transcript(t, strict_contexts=True) == []
+                assert t.outputs in qm, (m.states[start], seq, t.outputs)
