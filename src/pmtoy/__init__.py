@@ -39,7 +39,6 @@ from .toy import (
     ontic_machine,
     spekkens_machine,
     table_of,
-    toy_measure,
     toybit_measure,
 )
 from .verify import (
@@ -47,7 +46,6 @@ from .verify import (
     VerificationReport,
     Violation,
     check_transcript,
-    compatible,
     refute_variant,
     search_machines,
     verify_machine,

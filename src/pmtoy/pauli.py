@@ -1,10 +1,12 @@
 """Exact two-qubit Pauli algebra and the Peres-Mermin square.
 
 This module is the quantum-mechanical ground truth for everything else:
-the nine PM observables, their commutation structure, the six context
-product signs, sequential projective measurement (Lueders rule) from the
-maximally mixed state, and the brute-force parity scan over all 512
-noncontextual sign assignments.
+the nine PM observables as Pauli words (`OBSERVABLES`, the one place
+they are written down: the toy model reads its values from these words),
+their compatibility table (`COMMUTING`, built from `commutes`), the six
+context product signs, sequential projective measurement (Lueders rule)
+from the maximally mixed state, and the brute-force parity scan over all
+512 noncontextual sign assignments.
 
 `measure_knowledge` and `knowledge_runs` give the exact rule: a knowledge
 state is the frozenset of fixed (observable, value) pairs, and with every
@@ -112,6 +114,12 @@ OBSERVABLES: Mapping[str, PauliWord] = {
 
 OBSERVABLE_NAMES: tuple[str, ...] = tuple(OBSERVABLES)
 
+# PM observables compatible with each observable (including itself).
+COMMUTING: Mapping[str, frozenset[str]] = {
+    a: frozenset(b for b in OBSERVABLE_NAMES if commutes(OBSERVABLES[a], OBSERVABLES[b]))
+    for a in OBSERVABLE_NAMES
+}
+
 # Contexts as grid positions (row, col), rows then columns.
 CONTEXT_POSITIONS: Mapping[str, tuple[tuple[int, int], ...]] = {
     "row1": ((0, 0), (0, 1), (0, 2)),
@@ -163,10 +171,9 @@ def measure_knowledge(
     fixed = dict(k)
     if name in fixed:
         return [(fixed[name], Fraction(1), k)]
-    word = OBSERVABLES[name]
     branches = []
     for v in (+1, -1):
-        nxt = {o: w for o, w in fixed.items() if commutes(OBSERVABLES[o], word)}
+        nxt = {o: w for o, w in fixed.items() if o in COMMUTING[name]}
         nxt[name] = v
         # The fixed observables always lie in one context, so one pass closes them.
         for ctx, names in CONTEXT_NAMES.items():

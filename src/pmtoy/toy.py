@@ -2,16 +2,18 @@
 
 A single toy bit has four ontic states (z, x) with the derived y = z*x.
 Two toy bits give the 16-point ontic space indexed by generator signs
-(z1, z2, x1, x2).  Each ontic state induces a 3x3 sign table over the PM
-square whose six context products are all +1, which is exactly why the
-noncontextual model cannot match the quantum -1 in the last column.
+(z1, z2, x1, x2).  An observable's value is the product of the one-bit
+values (X -> x, Y -> z*x, Z -> z, I -> +1) along its Pauli word in
+`pauli.OBSERVABLES`, so each ontic state induces a 3x3 sign table over
+the PM square whose six context products are all +1, which is exactly
+why the noncontextual model cannot match the quantum -1 in the last column.
 
 Measurement keeps the values of every PM observable compatible with the
-measured one and randomizes the rest: the successor is drawn uniformly
-from a two-element coset of generator-flip patterns.  What an observer
-knows of the ontic state follows `pauli.measure_knowledge` with TOY_SIGN:
-the quantum rule with every context sign +1.  The whole model is
-also exposed as a 16-state stochastic Mealy machine, built by
+measured one (`pauli.COMMUTING`) and randomizes the rest: the successor
+is uniform over a two-element coset of generator-flip patterns.  What an
+observer knows of the ontic state follows `pauli.measure_knowledge` with
+TOY_SIGN: the quantum rule with every context sign +1.  The whole model
+is also exposed as a 16-state stochastic Mealy machine, built by
 `ontic_machine`, which builds every machine and search family from
 labelled ontic states, a value rule and a successor rule.
 """
@@ -64,7 +66,9 @@ TOYBIT_CELLS: tuple[ToyBitOntic, ...] = (
     ToyBitOntic(+1, -1),
 )
 
-_AXIS_VALUE = {
+# One toy bit's value along each Pauli letter; I is the identity, +1.
+_AXIS_VALUE: Mapping[str, Callable[[ToyBitOntic], Sign]] = {
+    "I": lambda s: +1,
     "X": lambda s: s.x,
     "Y": lambda s: s.y,
     "Z": lambda s: s.z,
@@ -79,7 +83,7 @@ def toybit_measure(
     The outcome is the partition containing s; the next state is uniform
     over the two cells of that partition.
     """
-    if axis not in _AXIS_VALUE:
+    if axis not in _AXIS_VALUE or axis == "I":
         raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
     value = _AXIS_VALUE[axis]
     outcome = value(s)
@@ -115,28 +119,14 @@ ALL_ONTIC: tuple[OnticState, ...] = tuple(
     for c2 in TOYBIT_CELLS
 )
 
-# Each PM observable's value on an ontic state is the product of a subset
-# of the four generators (indices into OnticState).
-VALUE_SUPPORT: Mapping[str, tuple[int, ...]] = {
-    "Z1": (0,),
-    "Z2": (1,),
-    "Z1Z2": (0, 1),
-    "X2": (3,),
-    "X1": (2,),
-    "X1X2": (2, 3),
-    "Z1X2": (0, 3),
-    "X1Z2": (2, 1),
-    "Y1Y2": (0, 1, 2, 3),
-}
-
 
 def observable_value(s: OnticState, name: str) -> Sign:
-    if name not in VALUE_SUPPORT:
+    """The product of the one-toy-bit values along the observable's Pauli word."""
+    if name not in pauli.OBSERVABLES:
         raise ValueError(f"not a PM observable: {name!r}")
-    v = 1
-    for idx in VALUE_SUPPORT[name]:
-        v *= s[idx]
-    return v
+    word = pauli.OBSERVABLES[name]
+    bit1, bit2 = ToyBitOntic(s.z1, s.x1), ToyBitOntic(s.z2, s.x2)
+    return _AXIS_VALUE[word.factor1](bit1) * _AXIS_VALUE[word.factor2](bit2)
 
 
 @dataclass(frozen=True)
@@ -144,10 +134,6 @@ class SignTable:
     """A 3x3 grid of +/-1 outcome values, positions matching the PM square."""
 
     values: tuple[tuple[Sign, ...], ...]
-
-    def value_at(self, name: str) -> Sign:
-        r, c = _GRID_POSITION[name]
-        return self.values[r][c]
 
     def context_products(self) -> dict[str, Sign]:
         return pauli.context_products([v for row in self.values for v in row])
@@ -168,13 +154,6 @@ class SignTable:
         return cls(tuple(parse_signs(r) for r in rows))
 
 
-_GRID_POSITION: Mapping[str, tuple[int, int]] = {
-    name: (r, c)
-    for r, row in enumerate(pauli.GRID_NAMES)
-    for c, name in enumerate(row)
-}
-
-
 def table_of(s: OnticState) -> SignTable:
     """The PM-square sign table induced by an ontic state.
 
@@ -188,35 +167,18 @@ def table_of(s: OnticState) -> SignTable:
 TOY_SIGN: Mapping[str, Sign] = {ctx: +1 for ctx in pauli.CONTEXT_NAMES}
 
 
-# PM observables compatible with each observable (including itself),
-# straight from the operator algebra.
-COMMUTING: Mapping[str, frozenset[str]] = {
-    a: frozenset(
-        b
-        for b in pauli.OBSERVABLE_NAMES
-        if pauli.commutes(pauli.OBSERVABLES[a], pauli.OBSERVABLES[b])
-    )
-    for a in pauli.OBSERVABLE_NAMES
-}
-
-
-def _flip_masks(name: str) -> tuple[tuple[int, ...], ...]:
-    # Generator-flip patterns that preserve the value of every observable
-    # compatible with `name`.  A flip pattern changes an observable's value
-    # iff it hits an odd number of that observable's support generators.
-    masks = []
-    for bits in itertools.product((0, 1), repeat=4):
-        flips = tuple(i for i in range(4) if bits[i])
-        if all(
-            len(set(flips) & set(VALUE_SUPPORT[other])) % 2 == 0
-            for other in COMMUTING[name]
-        ):
-            masks.append(flips)
-    return tuple(masks)
-
-
+# Generator-flip patterns (indices into OnticState) that preserve the value
+# of every observable compatible with the measured one.  Each value is a
+# product of generators, so a pattern keeps a value iff it keeps it +1 on
+# ++++: the patterns are the -1 positions of the states whose compatible
+# values are all +1, listed in flip-bit order.
 COSET_FLIPS: Mapping[str, tuple[tuple[int, ...], ...]] = {
-    name: _flip_masks(name) for name in pauli.OBSERVABLE_NAMES
+    name: tuple(
+        tuple(i for i, g in enumerate(t) if g < 0)
+        for t in itertools.starmap(OnticState, itertools.product((+1, -1), repeat=4))
+        if all(observable_value(t, other) == +1 for other in pauli.COMMUTING[name])
+    )
+    for name in pauli.OBSERVABLE_NAMES
 }
 
 
@@ -229,21 +191,9 @@ def apply_flips(s: OnticState, flips: Iterable[int]) -> OnticState:
 
 def coset(s: OnticState, name: str) -> tuple[OnticState, ...]:
     """States reachable after measuring `name` on s (always contains s)."""
-    if name not in VALUE_SUPPORT:
+    if name not in COSET_FLIPS:
         raise ValueError(f"not a PM observable: {name!r}")
     return tuple(apply_flips(s, flips) for flips in COSET_FLIPS[name])
-
-
-def toy_measure(
-    s: OnticState, name: str, rng: random.Random
-) -> tuple[Sign, OnticState]:
-    """Measure a PM observable on the two-toy-bit model.
-
-    Returns the table value and a successor drawn uniformly from the coset
-    that preserves every compatible observable's value.
-    """
-    outcome = observable_value(s, name)
-    return outcome, rng.choice(coset(s, name))
 
 
 _State = TypeVar("_State", bound=Hashable)

@@ -45,18 +45,13 @@ from .extension import (
     variant_machine,
 )
 from .machine import MealyMachine, Transcript, deterministic_row
-from .toy import ALL_ONTIC, COMMUTING, apply_flips, ontic_machine
+from .toy import ALL_ONTIC, apply_flips, ontic_machine
 
 REPEATABILITY = "repeatability"
 CONTEXT_PRODUCT = "context_product"
 
 # Python's default limit on int -> str conversion, in decimal digits.
 _INT_STR_DIGITS = 4300
-
-
-def compatible(a: str, b: str) -> bool:
-    """True iff the two named PM observables commute."""
-    return b in COMMUTING[a]
 
 
 def json_int(n: int) -> int | str:
@@ -103,13 +98,16 @@ def _check_run(
     for nm in ins:
         if nm not in pauli.OBSERVABLES:
             raise ValueError(f"not a PM observable: {nm!r}")
+    for v in outs:
+        if v not in (+1, -1):
+            raise ValueError(f"not a +/-1 outcome: {v!r}")
     n = len(ins)
     violations: list[Violation] = []
     for p in range(n):
         for q in range(p + 1, n):
             if ins[q] != ins[p]:
                 continue
-            if all(compatible(ins[m], ins[p]) for m in range(p + 1, q)):
+            if all(ins[m] in pauli.COMMUTING[ins[p]] for m in range(p + 1, q)):
                 if outs[q] != outs[p]:
                     violations.append(
                         Violation(
@@ -202,7 +200,7 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
                     third[code(i2, v2), code(i1, v1)] = (i, sign * v2 * v1)
     neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in out]
     keep = [
-        sum(1 << j for j in range(k) if j != i and compatible(names[i], names[j]))
+        sum(1 << j for j in range(k) if j != i and names[j] in pauli.COMMUTING[names[i]])
         for i in range(k)
     ]
     moves = [
@@ -447,8 +445,9 @@ def search_machines(
 ) -> SearchOutcome:
     """All deterministic sub-machines of the family passing depth-L checks.
 
-    A completion picks one successor from each of the family's transitions;
-    a family with an undefined transition raises ValueError.
+    A completion picks one successor from each of the family's transitions.
+    A family with an undefined transition, a budget below 1 or a negative
+    max_machines raises ValueError.
 
     Depth-first over transition tables on `_monitor`'s product graph, the
     one `verify_machine` walks: the family's moves give each (state, input)
@@ -468,6 +467,10 @@ def search_machines(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if max_machines < 0:
+        raise ValueError("max_machines must be >= 0")
     if not family.is_total:
         raise ValueError(f"family {family.name!r} has an undefined transition")
     n = len(family.states)
@@ -487,7 +490,7 @@ def search_machines(
     for e1 in range(1, 2 * k + 1):
         j = (e1 - 1) // 2
         register.append(
-            sorted(least_first, key=lambda i: i != j and compatible(names[i], names[j]))
+            sorted(least_first, key=lambda i: i != j and names[j] in pauli.COMMUTING[names[i]])
         )
 
     table = [[-1] * k for _ in range(n)]  # successor per (state, input), -1 unassigned

@@ -23,8 +23,8 @@ from pmtoy.extension import (
     skeleton_next,
 )
 from pmtoy.machine import Transcript
-from pmtoy.pauli import knowledge_runs
-from pmtoy.toy import ALL_ONTIC, COMMUTING, coset, observable_value, spekkens_machine, table_of
+from pmtoy.pauli import COMMUTING, knowledge_runs
+from pmtoy.toy import ALL_ONTIC, coset, observable_value, spekkens_machine, table_of
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
     check_transcript,

@@ -18,7 +18,8 @@ from pmtoy.extension import (
     skeleton_next,
     variant_machine,
 )
-from pmtoy.toy import ALL_ONTIC, COMMUTING, OnticState, table_of
+from pmtoy.pauli import COMMUTING
+from pmtoy.toy import ALL_ONTIC, OnticState, table_of
 
 
 def test_thirty_two_states():

@@ -1,5 +1,6 @@
 """Mealy machine engine: stepping, enumeration, validation, JSON round-trips."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -277,6 +278,28 @@ def test_enumeration_matches_the_path_by_path_reference(name):
         got = enumerate_transcripts(m, start, seq)
         assert got == _reference_transcripts(m, start, seq), (start, seq)
         assert all(type(t.probability) is Fraction for t in got)
+
+
+# sha256 of to_json() for every builtin, variant and family, recorded at
+# `b1a62b6`: a change to a state order, an output, a coset order or a
+# transition weight changes one of them.
+GOLDEN_MACHINE_JSON = {
+    "spekkens16": "32f7a3e37e4d908be431993c092997647124b59105c277904ac7fd5f6bf55677",
+    "extended32": "9a06a4c77dc892cd589aeeef9c619f3e50632d80909608d0fbefa583f2509ad6",
+    "extended32-randomized": "a5a884d540fa3b1faa93a40f3e506bfdd2f6b7dc569011ec8e8cea12033799ff",
+    "paper4": "9d02fdb27118bbb788b7c5a2acb0728dd843c5a28dae9258e266ba62c837bd21",
+    "variant-single_trigger": "d10ca52cab4c2bff4aa15feb10a45b23e4cf59e5e256618753f68dc12f2b04ac",
+    "variant-same_destination": "636b2a5a9142d745cfa0bffb200565efd71e57b6bc8ed82661f344da004bb43d",
+    "family-paper4": "7376a793a30f52d543bdca738b7ba738126f6dcc51935b25fe141849040b5440",
+    "family-cplus16": "4a4359d244a546b3542413f2475feeba8b5e9b7072671e2ce6d0d210a9764d95",
+    "family-all32-bit2": "83173e78b622ab523eb4ae13e65177b3df0710e0ab57a0583dd2ec8618bd707c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MACHINE_JSON))
+def test_machine_json_matches_golden_hash(name):
+    text = REFERENCE_MACHINES[name]().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MACHINE_JSON[name]
 
 
 def test_a_long_deterministic_run_is_one_transcript():

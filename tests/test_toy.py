@@ -10,10 +10,9 @@ import pytest
 from pm_figures import FIGURE_16
 from pmtoy import pauli
 from pmtoy.machine import enumerate_transcripts
-from pmtoy.pauli import measure_knowledge
+from pmtoy.pauli import COMMUTING, knowledge_runs, measure_knowledge
 from pmtoy.toy import (
     ALL_ONTIC,
-    COMMUTING,
     TOY_SIGN,
     TOYBIT_CELLS,
     OnticState,
@@ -23,7 +22,6 @@ from pmtoy.toy import (
     observable_value,
     spekkens_machine,
     table_of,
-    toy_measure,
     toybit_measure,
 )
 
@@ -70,8 +68,10 @@ def test_toybit_repeated_measurement_is_repeatable():
 
 
 def test_toybit_measure_rejects_bad_axis():
-    with pytest.raises(ValueError):
-        toybit_measure(ToyBitOntic(+1, +1), "W", random.Random(0))
+    # I is a Pauli letter but not a measurement of the toy bit.
+    for axis in ("W", "I", "", "XY"):
+        with pytest.raises(ValueError, match="axis must be X, Y or Z"):
+            toybit_measure(ToyBitOntic(+1, +1), axis, random.Random(0))
 
 
 def test_table_of_all_plus_state():
@@ -98,13 +98,6 @@ def test_all_context_products_plus_one():
 def test_table_of_is_injective():
     tables = {table_of(s).compact() for s in ALL_ONTIC}
     assert len(tables) == 16
-
-
-def test_value_support_matches_table_positions():
-    for s in ALL_ONTIC:
-        t = table_of(s)
-        for name in pauli.OBSERVABLE_NAMES:
-            assert observable_value(s, name) == t.value_at(name)
 
 
 def test_commuting_sets_match_operator_algebra():
@@ -152,17 +145,13 @@ def test_coset_examples():
     }
 
 
-def test_toy_measure_examples():
-    out, nxt = toy_measure(OnticState(+1, +1, +1, +1), "Z1", random.Random(1))
-    assert out == +1
-    assert nxt in coset(OnticState(+1, +1, +1, +1), "Z1")
-    out, _ = toy_measure(OnticState(+1, -1, +1, +1), "X1Z2", random.Random(1))
-    assert out == -1
-
-
-def test_toy_measure_rejects_non_pm_observable():
-    with pytest.raises(ValueError):
-        toy_measure(OnticState(+1, +1, +1, +1), "Y1", random.Random(0))
+def test_values_and_cosets_reject_non_pm_observables():
+    s = OnticState(+1, +1, +1, +1)
+    for name in ("Y1", "II", "ZI"):
+        with pytest.raises(ValueError, match="not a PM observable"):
+            observable_value(s, name)
+        with pytest.raises(ValueError, match="not a PM observable"):
+            coset(s, name)
 
 
 def test_toy_measure_never_disturbs_compatible_values():
@@ -261,6 +250,26 @@ def test_spekkens_machine_context_products_all_plus():
             for order in itertools.permutations(names):
                 for t in enumerate_transcripts(m, start, order):
                     assert t.outputs[0] * t.outputs[1] * t.outputs[2] == +1
+
+
+def _uniform_machine_runs(m, seq):
+    """Outcome weights of m over seq from the uniform mixture of its states."""
+    runs = Counter()
+    for start in range(len(m.states)):
+        for t in enumerate_transcripts(m, start, seq):
+            runs[t.outputs] += t.probability / len(m.states)
+    return dict(runs)
+
+
+def test_spekkens_machine_from_a_uniform_start_is_the_toy_rule():
+    # Every sequence of length 1-3 (819) and every 37th of length 4.
+    m = spekkens_machine()
+    names = pauli.OBSERVABLE_NAMES
+    seqs = [seq for n in (1, 2, 3) for seq in itertools.product(names, repeat=n)]
+    seqs += list(itertools.product(names, repeat=4))[::37]
+    assert len(seqs) == 819 + 178
+    for seq in seqs:
+        assert _uniform_machine_runs(m, seq) == knowledge_runs(seq, TOY_SIGN), seq
 
 
 def test_sign_table_round_trip():

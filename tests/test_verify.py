@@ -25,7 +25,6 @@ from pmtoy.verify import (
     REPEATABILITY,
     VerificationReport,
     check_transcript,
-    compatible,
     family_all32_bit2,
     family_cplus16,
     family_paper4,
@@ -56,7 +55,7 @@ def test_check_transcript_repeatability_satisfied():
 
 def test_check_transcript_repeatability_violation_across_compatible():
     vs = check_transcript(_t(["X1X2", "Y1Y2", "X1X2"], [-1, +1, +1]))
-    assert compatible("X1X2", "Y1Y2")
+    assert "Y1Y2" in pauli.COMMUTING["X1X2"]
     assert len(vs) == 1
     v = vs[0]
     assert v.kind == REPEATABILITY
@@ -66,7 +65,7 @@ def test_check_transcript_repeatability_violation_across_compatible():
 
 def test_check_transcript_incompatible_interleaving_breaks_the_chain():
     # Z1 does not commute with X1X2, so the pair is not constrained.
-    assert not compatible("X1X2", "Z1")
+    assert "Z1" not in pauli.COMMUTING["X1X2"]
     assert check_transcript(_t(["X1X2", "Z1", "X1X2"], [-1, +1, +1])) == []
 
 
@@ -74,6 +73,16 @@ def test_check_transcript_rejects_names_outside_the_square():
     for inputs in (("Q", "R", "Q"), ("Q", "Q")):
         with pytest.raises(ValueError, match="not a PM observable: 'Q'"):
             check_transcript(_t(inputs, [+1, -1, +1][: len(inputs)]))
+
+
+def test_check_transcript_rejects_outputs_other_than_plus_minus_one():
+    for inputs, outputs, bad in (
+        (("Z1", "X1"), (5, 0), 5),
+        (("Z1", "Z1"), (7, 7), 7),
+        (("Z1", "Z1"), (1, 0), 0),
+    ):
+        with pytest.raises(ValueError, match=f"not a \\+/-1 outcome: {bad}"):
+            check_transcript(_t(inputs, outputs))
 
 
 def test_gate_passes_an_interleaved_context_the_exact_oracle_forbids():
@@ -365,6 +374,17 @@ def test_search_rejects_depth_below_one():
     for depth in (0, -1):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             search_machines(family_paper4(), depth, budget=1)
+
+
+def test_search_rejects_a_budget_below_one_and_negative_max_machines():
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            search_machines(family_paper4(), 4, budget=budget)
+    with pytest.raises(ValueError, match="max_machines must be >= 0"):
+        search_machines(family_paper4(), 4, max_machines=-1)
+    # max_machines=0 still counts completions, keeping none.
+    outcome = search_machines(family_paper4(), 4, max_machines=0)
+    assert (outcome.completions, outcome.machines, outcome.exhausted) == (1, (), True)
 
 
 def test_builtin_machines_are_families():
