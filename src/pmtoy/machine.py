@@ -1,12 +1,14 @@
 """Stochastic Mealy machines with exact rational transition weights.
 
-A machine has a finite set of labelled states, the nine PM observables as
-its input alphabet, a +/-1 output per (state, input), and per (state,
-input) a probability distribution over successor states.  Distributions
-are exact `Fraction`s: every machine and family built here is uniform over
-its listed successors, from one state up to eight (cplus16), so weights
-such as 1/3 (all32-bit2) stay exact.  Machines are immutable after
-construction and safe to share.
+A machine has a finite set of labelled states, a +/-1 output per (state,
+input), and per (state, input) a probability distribution over successor
+states.  The input alphabet is the same for every machine and is not a
+field: the nine PM observables, indexed in `pauli.OBSERVABLE_NAMES` order.
+A machine file may list its input columns in any order, but must name
+each of the nine once.  Distributions are exact `Fraction`s: every machine
+and family built here is uniform over its listed successors, from one
+state up to eight (cplus16), so weights such as 1/3 (all32-bit2) stay
+exact.  Machines are immutable after construction and safe to share.
 
 Structural invariants are enforced at build time: a machine has at least
 one state, every distribution names each successor once and sums to
@@ -23,7 +25,9 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
+
+from . import pauli
 
 TransitionRow = tuple[tuple[int, Fraction], ...]
 
@@ -35,7 +39,10 @@ _PROB = re.compile(r"[0-9]{1,32}(/[0-9]{1,32})?")
 def _parse_prob(text: object) -> Fraction:
     if not isinstance(text, str) or not _PROB.fullmatch(text):
         raise ValueError(f"transition prob is not digits[/digits]: {text!r:.40}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"transition prob has a zero denominator: {text!r}") from None
 
 
 def _parse_output(value: object) -> int:
@@ -60,9 +67,9 @@ def _keyed(value: object, keys: Sequence[str], what: str) -> list:
     return [value[k] for k in keys]
 
 
-def _table(data: dict, key: str, states: tuple, inputs: tuple, parse: Callable) -> tuple:
+def _table(data: dict, key: str, states: tuple, parse: Callable) -> tuple:
     return tuple(
-        tuple(map(parse, _keyed(row, inputs, f"machine {key}[{s!r}]")))
+        tuple(map(parse, _keyed(row, pauli.OBSERVABLE_NAMES, f"machine {key}[{s!r}]")))
         for s, row in zip(states, _keyed(data[key], states, f"machine {key}"))
     )
 
@@ -94,10 +101,10 @@ def deterministic_row(successor: int) -> TransitionRow:
 class MealyMachine:
     name: str
     states: tuple[str, ...]
-    inputs: tuple[str, ...]
     outputs: tuple[tuple[int, ...], ...]
     transitions: tuple[tuple[TransitionRow, ...], ...]
     notes: tuple[str, ...] = field(default=(), compare=False)
+    inputs: ClassVar[tuple[str, ...]] = pauli.OBSERVABLE_NAMES
 
     def __post_init__(self) -> None:
         n, k = len(self.states), len(self.inputs)
@@ -105,8 +112,6 @@ class MealyMachine:
             raise ValueError("machine has no states")
         if len(set(self.states)) != n:
             raise ValueError("duplicate state labels")
-        if len(set(self.inputs)) != k:
-            raise ValueError("duplicate input labels")
         if len(self.outputs) != n or any(len(row) != k for row in self.outputs):
             raise ValueError("output table shape mismatch")
         if len(self.transitions) != n or any(
@@ -209,12 +214,16 @@ class MealyMachine:
         _keyed(data, ("name", "inputs", "states", "outputs", "transitions"), "machine")
         if not isinstance(data["name"], str):
             raise ValueError(f"machine name is not a string: {data['name']!r:.40}")
-        states = _parse_labels(data, "states")
         inputs = _parse_labels(data, "inputs")
+        if sorted(inputs) != sorted(cls.inputs):
+            raise ValueError(
+                f"machine inputs must be the nine PM observables, each once: {list(inputs)!r:.200}"
+            )
+        states = _parse_labels(data, "states")
         index = {label: i for i, label in enumerate(states)}
-        outputs = _table(data, "outputs", states, inputs, _parse_output)
-        transitions = _table(data, "transitions", states, inputs, lambda r: _parse_row(r, index))
-        return cls(data["name"], states, inputs, outputs, transitions)
+        outputs = _table(data, "outputs", states, _parse_output)
+        transitions = _table(data, "transitions", states, lambda r: _parse_row(r, index))
+        return cls(data["name"], states, outputs, transitions)
 
     @classmethod
     def from_json(cls, text: str) -> "MealyMachine":

@@ -218,7 +218,6 @@ def ontic_machine(
     return MealyMachine(
         name=name,
         states=tuple(states),
-        inputs=names,
         outputs=tuple(tuple(value(s, o) for o in names) for s in members),
         transitions=tuple(
             tuple(uniform_row(index[t] for t in successors(s, o)) for o in names)

@@ -168,44 +168,47 @@ _Key = tuple[int, int, int, int, int]
 # A product move at (s, i): (bit, keep, neg bit, step code, successors).
 _Move = tuple[int, int, int, int, tuple[int, ...]]
 
+_NAMES = pauli.OBSERVABLE_NAMES
+_INDEX = {nm: i for i, nm in enumerate(_NAMES)}
+
+
+def _code(i: int, v: int) -> int:
+    return 1 + 2 * i + (v < 0)
+
+
+# _THIRD[e2, e1]: the input completing a context after those two steps, and
+# the output its sign requires there.
+_THIRD = {
+    (_code(i2, v2), _code(i1, v1)): (i, sign * v2 * v1)
+    for names3, sign in pauli.CONTEXT_SETS.items()
+    for i2, i1, i in itertools.permutations([_INDEX[nm] for nm in names3])
+    for v2, v1 in itertools.product((1, -1), repeat=2)
+}
+# _KEEP[i]: the inputs other than i compatible with i.
+_KEEP = [
+    sum(1 << j for j, nm in enumerate(_NAMES) if j != i and nm in pauli.COMMUTING[_NAMES[i]])
+    for i in range(len(_NAMES))
+]
+
 
 def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]:
     """The product graph of machine m with the (R)+(C) monitor.
 
     A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
-    input i and bit i of V says it is -1; e2 and e1 code the last two steps
-    as 1 + 2i + (v < 0), 0 for none.  breaches(key) is the mask of inputs
-    whose measurement at the key breaches (R) or (C).  Measuring input i at
-    state s, moves[s][i] = (bit, keep, neg, code, successors), takes key
-    (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg, e1, code)
-    for each successor t; keep marks the inputs compatible with i.
+    input i (the i-th of `pauli.OBSERVABLE_NAMES`) and bit i of V says it is
+    -1; e2 and e1 code the last two steps as 1 + 2i + (v < 0), 0 for none.
+    The monitor's own tables, `_THIRD` and `_KEEP`, are built once; per
+    machine only its output signs and moves are.  breaches(key) is the mask
+    of inputs whose measurement at the key breaches (R) or (C).  Measuring
+    input i at state s, moves[s][i] = (bit, keep, neg, code, successors),
+    takes key (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg,
+    e1, code) for each successor t; keep marks the inputs compatible with i.
     """
-    names = m.inputs
-    for nm in names:
-        if nm not in pauli.OBSERVABLES:
-            raise ValueError(f"machine input is not a PM observable: {nm!r}")
-    k = len(names)
     out = m.outputs
-
-    def code(i: int, v: int) -> int:
-        return 1 + 2 * i + (v < 0)
-
-    # third[e2, e1]: the input completing a context after those two steps,
-    # and the output its sign requires there.
-    third: dict[tuple[int, int], tuple[int, int]] = {}
-    for names3, sign in pauli.CONTEXT_SETS.items():
-        if all(nm in names for nm in names3):
-            for i2, i1, i in itertools.permutations([names.index(nm) for nm in names3]):
-                for v2, v1 in itertools.product((1, -1), repeat=2):
-                    third[code(i2, v2), code(i1, v1)] = (i, sign * v2 * v1)
-    neg = [sum(1 << i for i in range(k) if row[i] < 0) for row in out]
-    keep = [
-        sum(1 << j for j in range(k) if j != i and names[j] in pauli.COMMUTING[names[i]])
-        for i in range(k)
-    ]
+    neg = [sum(1 << i for i, v in enumerate(row) if v < 0) for row in out]
     moves = [
         [
-            (1 << i, keep[i], neg[s] & (1 << i), code(i, v), m.successors(s, i))
+            (1 << i, _KEEP[i], neg[s] & (1 << i), _code(i, v), m.successors(s, i))
             for i, v in enumerate(row)
         ]
         for s, row in enumerate(out)
@@ -214,7 +217,7 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
     def breaches(key: _Key) -> int:
         s, K, V, e2, e1 = key
         bad = K & (V ^ neg[s])
-        ctx = third.get((e2, e1))
+        ctx = _THIRD.get((e2, e1))
         if ctx is not None and out[s][ctx[0]] != ctx[1]:
             bad |= 1 << ctx[0]
         return bad
@@ -223,28 +226,24 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
 
 
 def verify_machine(
-    m: MealyMachine,
-    depth: int,
-    starts: Sequence[int | str] | None = None,
-    max_violations: int = 64,
+    m: MealyMachine, depth: int, starts: Sequence[int | str] | None = None
 ) -> VerificationReport:
     """Certify every input sequence of length <= depth from every start.
 
     Walks `_monitor`'s product graph breadth-first from the start keys
-    (s, 0, 0, 0, 0), so witnesses are depth-minimal; violations are
-    deduplicated by (kind, inputs at the breach positions, expected,
-    observed).  Undefined transitions of partial machines end the branch.
-    `parent` maps each reached key to the key and input it was first
-    reached from, None at a start; each breach is re-checked by
-    `check_transcript`'s rules on the witness run it leads back to.
+    (s, 0, 0, 0, 0), so witnesses are depth-minimal.  Undefined transitions
+    of partial machines end the branch.  `parent` maps each reached key to
+    the key and input it was first reached from, None at a start; each
+    breach is re-checked by `check_transcript`'s rules on the witness run it
+    leads back to.  Violations are deduplicated by (kind, observables at the
+    breach, expected, observed), and every distinct one is reported: a
+    repeatability key is one of 9 observables and 2 outcomes, a context key
+    one of the 36 orderings of the 6 contexts with its sign fixed, so no
+    machine has more than 18 + 36 = 54.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if max_violations < 1:
-        raise ValueError("max_violations must be >= 1")
-    names = m.inputs
     t0 = time.perf_counter()
-    k = len(names)
     out = m.outputs
     breaches, moves = _monitor(m)
     if starts is None:
@@ -260,14 +259,13 @@ def verify_machine(
     level = list(parent)
 
     found: dict[tuple, Violation] = {}
-    truncated = False
 
     def witness(key: _Key, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
         run = [(key[0], i)]
         while parent[key]:
             key, i = parent[key]
             run.append((key[0], i))
-        seq = tuple(names[i] for _, i in reversed(run))
+        seq = tuple(_NAMES[i] for _, i in reversed(run))
         return m.states[key[0]], seq, tuple(out[s][i] for s, i in reversed(run))
 
     for d in range(depth):
@@ -278,18 +276,15 @@ def verify_machine(
             bad = breaches(key)
             for i, (bit, kp, nb, code, ts) in enumerate(moves[s]):
                 if bad & bit:
-                    if len(found) < max_violations:
-                        start_label, seq, outs = witness(key, i)
-                        for vio in _check_run(seq, outs, start_label):
-                            dedup = (
-                                vio.kind,
-                                tuple(seq[p] for p in vio.positions),
-                                vio.expected,
-                                vio.observed,
-                            )
-                            found.setdefault(dedup, vio)
-                    else:
-                        truncated = True
+                    start_label, seq, outs = witness(key, i)
+                    for vio in _check_run(seq, outs, start_label):
+                        dedup = (
+                            vio.kind,
+                            tuple(seq[p] for p in vio.positions),
+                            vio.expected,
+                            vio.observed,
+                        )
+                        found.setdefault(dedup, vio)
                     continue
                 if expand and ts:
                     nK = (K & kp) | bit
@@ -310,18 +305,15 @@ def verify_machine(
             key=lambda v: (len(v.sequence), v.kind, v.sequence, v.positions),
         )
     )
-    notes = tuple(m.notes)
-    if truncated:
-        notes = notes + (f"violation list truncated at {max_violations} entries",)
-    # n * (k + k^2 + ... + k^depth) for n distinct starts, in closed form.
-    total = n_starts * (depth if k == 1 else k * (k**depth - 1) // (k - 1))
+    # n * (9 + 9^2 + ... + 9^depth) for n distinct starts, in closed form.
+    total = n_starts * 9 * (9**depth - 1) // 8
     return VerificationReport(
         machine=m.name,
         depth=depth,
         sequences_checked=total,
         violations=violations,
         elapsed_ms=elapsed,
-        notes=notes,
+        notes=tuple(m.notes),
     )
 
 
@@ -332,29 +324,18 @@ def refute_variant(kind: str, depth: int = 4) -> Violation:
     """Concrete refutation of one of the two rejected constructions.
 
     Verifies the variant from the all-plus contradiction-in-column state
-    and returns a column-3 context violation with product +1, preferring
-    the literal bottom-to-top witness.  Raises if none exists within the
-    depth bound, which would mean the variant construction regressed.
+    and returns the bottom-to-top column-3 witness Y1Y2, X1X2, Z1Z2 ->
+    (+1, +1, +1).  Raises if it is not found within the depth bound, which
+    would mean the variant construction regressed.
     """
     m = variant_machine(kind)
     report = verify_machine(m, depth, starts=[ALIASES["a"].label])
-    col3 = set(pauli.CONTEXT_NAMES["col3"])
-    fallback: Violation | None = None
     for v in report.violations:
-        if (
-            v.kind == CONTEXT_PRODUCT
-            and {v.sequence[p] for p in v.positions} == col3
-            and v.observed == +1
-        ):
-            if v.sequence == _BOTTOM_TO_TOP:
-                return v
-            if fallback is None:
-                fallback = v
-    if fallback is None:
-        raise RuntimeError(
-            f"variant {kind!r} produced no column-3 refutation within depth {depth}"
-        )
-    return fallback
+        if v.kind == CONTEXT_PRODUCT and v.sequence == _BOTTOM_TO_TOP:
+            return v
+    raise RuntimeError(
+        f"variant {kind!r} produced no column-3 refutation within depth {depth}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +371,10 @@ def _family(
     moves: Callable[[ExtOnticState], Iterable[ExtOnticState]],
 ) -> MealyMachine:
     """A family whose transition at (s, o) is uniform over the moves of s keeping o's value."""
-    rows = {s: [ext_value(s, o) for o in pauli.OBSERVABLE_NAMES] for s in states.values()}
-    col = {o: i for i, o in enumerate(pauli.OBSERVABLE_NAMES)}
+    rows = {s: [ext_value(s, o) for o in _NAMES] for s in states.values()}
 
     def successors(s: ExtOnticState, o: str) -> tuple[ExtOnticState, ...]:
-        i = col[o]
+        i = _INDEX[o]
         return tuple(t for t in moves(s) if rows[t][i] == rows[s][i])
 
     return ontic_machine(name, states, ext_value, successors)
@@ -434,6 +414,18 @@ FAMILIES: Mapping[str, Callable[[], MealyMachine]] = {
 }
 
 _CTX_SEARCH_ORDER = ("col3", "row3", "row1", "row2", "col1", "col2")
+# The inputs least preferred first: the reverse of their first appearance
+# in the contexts of `_CTX_SEARCH_ORDER`.
+_LEAST_FIRST = list(
+    dict.fromkeys(_INDEX[nm] for c in _CTX_SEARCH_ORDER for nm in pauli.CONTEXT_NAMES[c])
+)[::-1]
+# _REGISTER[e1]: the inputs a key whose last step code is e1 waits on, least
+# preferred first; e1 = 1 + 2j or 2 + 2j codes a step measuring input j.
+_REGISTER = [_LEAST_FIRST] + [
+    sorted(_LEAST_FIRST, key=lambda i: _KEEP[i] >> j & 1)
+    for j in range(len(_NAMES))
+    for _ in (+1, -1)
+]
 
 
 class _Budget(Exception):
@@ -473,25 +465,8 @@ def search_machines(
         raise ValueError("max_machines must be >= 0")
     if not family.is_total:
         raise ValueError(f"family {family.name!r} has an undefined transition")
-    n = len(family.states)
-    names = family.inputs
-    k = len(names)
+    n, k = len(family.states), len(_NAMES)
     breaches, moves = _monitor(family)
-    ctx_order = [
-        names.index(nm)
-        for c in _CTX_SEARCH_ORDER
-        for nm in pauli.CONTEXT_NAMES[c]
-        if nm in names
-    ]
-    least_first = list(dict.fromkeys(ctx_order))[::-1]
-    # register[e1]: the inputs a key whose last step code is e1 waits on,
-    # least preferred first.
-    register = [least_first]
-    for e1 in range(1, 2 * k + 1):
-        j = (e1 - 1) // 2
-        register.append(
-            sorted(least_first, key=lambda i: i != j and names[j] in pauli.COMMUTING[names[i]])
-        )
 
     table = [[-1] * k for _ in range(n)]  # successor per (state, input), -1 unassigned
     best: dict[_Key, int] = {}  # least depth of each reached key
@@ -523,7 +498,7 @@ def search_machines(
         while queue:
             key = queue.popleft()
             s, d = key[0], best[key] + 1
-            for i in register[key[4]]:
+            for i in _REGISTER[key[4]]:
                 t = table[s][i]
                 if t < 0:
                     waited.append((s, i))
@@ -563,7 +538,6 @@ def search_machines(
         m = MealyMachine(
             name=f"{family.name}-completion-{completions}",
             states=family.states,
-            inputs=names,
             outputs=family.outputs,
             transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
         )

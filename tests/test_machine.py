@@ -33,7 +33,6 @@ def _tiny_machine(**overrides):
     base = dict(
         name="tiny",
         states=("p", "q"),
-        inputs=pauli.OBSERVABLE_NAMES,
         outputs=(tuple([+1] * 9), tuple([+1] * 9)),
         transitions=(
             tuple(uniform_row([0, 1]) for _ in range(9)),
@@ -75,23 +74,10 @@ def test_validation_rejects_duplicate_labels():
         _tiny_machine(states=("p", "p"))
 
 
-def test_validation_rejects_duplicate_input_labels():
-    # Accepted, this machine would pass verify_machine although the run
-    # Z1, Z1 -> (+1, -1) breaches repeatability.
-    with pytest.raises(ValueError, match="duplicate input labels"):
-        MealyMachine(
-            name="twice-z1",
-            states=("p",),
-            inputs=("Z1", "Z1"),
-            outputs=((+1, -1),),
-            transitions=((deterministic_row(0), deterministic_row(0)),),
-        )
-
-
 def test_validation_rejects_a_machine_with_no_states():
     # Accepted, it would pass every check vacuously: no state, no run.
     with pytest.raises(ValueError, match="no states"):
-        MealyMachine("empty", (), pauli.OBSERVABLE_NAMES, (), ())
+        MealyMachine("empty", (), (), ())
     data = {
         "name": "empty",
         "inputs": list(pauli.OBSERVABLE_NAMES),
@@ -108,7 +94,7 @@ def test_validation_rejects_a_repeated_successor():
     # once per copy of the successor: 2^9 completions.
     half = ((0, Fraction(1, 2)), (0, Fraction(1, 2)))
     with pytest.raises(ValueError, match="repeated successor"):
-        MealyMachine("twice", ("p",), pauli.OBSERVABLE_NAMES, ((+1,) * 9,), ((half,) * 9,))
+        MealyMachine("twice", ("p",), ((+1,) * 9,), ((half,) * 9,))
     data = _tiny_machine().to_json_dict()
     data["transitions"]["p"]["Z1"] = [{"to": "q", "prob": "1/2"}, {"to": "q", "prob": "1/2"}]
     with pytest.raises(ValueError, match=r"repeated successor at \(p,Z1\)"):
@@ -241,7 +227,7 @@ def _random_partial_machine(seed, n=6):
             row.append(tuple((t, Fraction(w, sum(weights))) for t, w in zip(succ, weights)))
         transitions.append(tuple(row))
     return MealyMachine(
-        f"random-partial-{seed}", tuple(f"r{s}" for s in range(n)), inputs, outputs, tuple(transitions)
+        f"random-partial-{seed}", tuple(f"r{s}" for s in range(n)), outputs, tuple(transitions)
     )
 
 
@@ -343,6 +329,13 @@ def test_from_json_dict_reads_labels_only_as_lists_of_strings(key, value):
         MealyMachine.from_json_dict(data)
 
 
+def _drop_input(data, name):
+    data["inputs"].remove(name)
+    for table in ("outputs", "transitions"):
+        for row in data[table].values():
+            del row[name]
+
+
 FOREIGN_EDITS = {
     "name-not-a-string": lambda d: d.update(name=[1, {"x": None}]),
     "no-name": lambda d: d.pop("name"),
@@ -353,7 +346,25 @@ FOREIGN_EDITS = {
     "entry-with-an-extra-key": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(x=1),
     "entry-to-an-unknown-state": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(to="zz"),
     "entry-to-a-list": lambda d: d["transitions"]["a"]["Z1Z2"][0].update(to=["a"]),
+    # Files that agree with themselves but not with the nine observables.
+    "input-renamed-everywhere": lambda d: d.update(json.loads(json.dumps(d).replace('"Z1X2"', '"Q7"'))),
+    "input-dropped-everywhere": lambda d: _drop_input(d, "X1"),
 }
+
+
+def test_from_json_dict_refuses_a_zero_denominator():
+    data = four_state_machine().to_json_dict()
+    for prob in ("1/0", "0/00"):
+        data["transitions"]["a"]["Z1Z2"][0]["prob"] = prob
+        with pytest.raises(ValueError, match="zero denominator"):
+            MealyMachine.from_json_dict(data)
+
+
+def test_inputs_are_the_nine_observables_for_every_machine():
+    assert MealyMachine.inputs == pauli.OBSERVABLE_NAMES
+    assert _tiny_machine().inputs == pauli.OBSERVABLE_NAMES
+    with pytest.raises(TypeError):
+        _tiny_machine(inputs=pauli.OBSERVABLE_NAMES)
 
 
 @pytest.mark.parametrize("edit", sorted(FOREIGN_EDITS))
