@@ -34,8 +34,8 @@ from .pauli import (
 from .toy import (
     ALL_ONTIC,
     OnticState,
-    SignTable,
     ToyBitOntic,
+    compact,
     ontic_machine,
     spekkens_machine,
     table_of,

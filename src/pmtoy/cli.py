@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -27,7 +26,7 @@ import sys
 from . import pauli
 from .extension import ALIASES, extended_machine, four_state_machine
 from .machine import MealyMachine, step
-from .toy import SignTable, spekkens_machine
+from .toy import compact, spekkens_machine
 from .verify import (
     FAMILIES,
     SearchOutcome,
@@ -44,7 +43,7 @@ _BUILDERS = {
     "paper4": four_state_machine,
 }
 BUILTIN_MACHINES = tuple(_BUILDERS)
-# Past depth 4 the product BFS of every builtin is done; a larger bound only
+# By depth 6 the product BFS of every builtin is done; a larger bound only
 # grows the closed-form sequence count, whose decimal digits cost quadratic time.
 MAX_DEPTH = 100_000
 
@@ -198,14 +197,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _dump_dict(m: MealyMachine) -> dict:
     states = []
-    for s, label in enumerate(m.states):
-        table = SignTable.from_values(functools.partial(m.output, s))
-        products = table.context_products()
+    for label, row in zip(m.states, m.outputs):
+        products = pauli.context_products(row)
         states.append(
             {
                 "label": label,
                 "alias": next((a for a, st in ALIASES.items() if st.label == label), None),
-                "table": table.compact(),
+                "table": compact(row),
                 "context_products": products,
                 "qm_deviation": [
                     ctx for ctx, sign in pauli.PRESCRIBED_SIGN.items() if products[ctx] != sign

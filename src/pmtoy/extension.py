@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from . import pauli
 from .machine import MealyMachine
 from .toy import (
     ALL_ONTIC,
     OnticState,
     Sign,
-    SignTable,
     apply_flips,
     coset,
     observable_value,
@@ -57,18 +57,6 @@ class ExtOnticState(NamedTuple):
     def label(self) -> str:
         return self.base.label + ("/col" if self.c == +1 else "/row")
 
-    @classmethod
-    def from_label(cls, text: str) -> "ExtOnticState":
-        if text in ALIASES:
-            return ALIASES[text]
-        try:
-            base_text, kind = text.split("/")
-        except ValueError:
-            raise ValueError(f"not an extended state label: {text!r}") from None
-        if kind not in ("col", "row"):
-            raise ValueError(f"contradiction tag must be col or row: {text!r}")
-        return cls(OnticState.from_label(base_text), +1 if kind == "col" else -1)
-
 
 # 32 states: the 16 original tables first, then the 16 inverted ones,
 # both in the 4x4 drawing order.
@@ -90,9 +78,9 @@ def ext_value(s: ExtOnticState, name: str) -> Sign:
     return v * s.c if name == "Y1Y2" else v
 
 
-def ext_table(s: ExtOnticState) -> SignTable:
-    """The sign table of ext_value: table_of(base) with Y1Y2's entry times c."""
-    return SignTable.from_values(lambda name: ext_value(s, name))
+def ext_table(s: ExtOnticState) -> tuple[Sign, ...]:
+    """The sign table of ext_value: table_of(base) with its last entry, Y1Y2's, times c."""
+    return tuple(ext_value(s, name) for name in pauli.OBSERVABLE_NAMES)
 
 
 # Trigger plan: (c, measured observable) -> generator indices flipped

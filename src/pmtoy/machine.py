@@ -46,9 +46,10 @@ def _parse_prob(text: object) -> Fraction:
 
 
 def _parse_output(value: object) -> int:
-    # `type` rather than `isinstance`: JSON true is a bool, and bool an int.
+    # The one output rule, for files and constructors alike.  `type` rather
+    # than `isinstance`: JSON true is a bool, and bool an int.
     if type(value) is not int or value not in (1, -1):
-        raise ValueError(f"output is not the integer 1 or -1: {value!r:.40}")
+        raise ValueError(f"output is not +/-1, the integer 1 or -1: {value!r:.40}")
     return value
 
 
@@ -120,8 +121,7 @@ class MealyMachine:
             raise ValueError("transition table shape mismatch")
         for s in range(n):
             for i in range(k):
-                if self.outputs[s][i] not in (+1, -1):
-                    raise ValueError(f"output at ({s},{i}) is not +/-1")
+                _parse_output(self.outputs[s][i])
                 row = self.transitions[s][i]
                 if not row:
                     continue

@@ -2,9 +2,10 @@
 
 This module is the quantum-mechanical ground truth for everything else:
 the nine PM observables as Pauli words (`OBSERVABLES`, the one place
-they are written down: the toy model reads its values from these words),
-their compatibility table (`COMMUTING`, built from `commutes`), the six
-context product signs, sequential projective measurement (Lueders rule)
+they are written down, row by row: the toy model reads its values from
+these words), their compatibility table (`COMMUTING`, built from
+`commutes`), the six contexts as index triples into that order and their
+product signs, sequential projective measurement (Lueders rule)
 from the maximally mixed state, and the brute-force parity scan over all
 512 noncontextual sign assignments.
 
@@ -91,15 +92,10 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
     return differing % 2 == 0
 
 
-# The PM square in grid order.  Names follow the toy-model reading of each
-# cell (subscript 1 = first qubit / toy bit, 2 = second); note the swapped
-# single-qubit entries in row 2 and the mixed products in row 3.
-GRID_NAMES: tuple[tuple[str, str, str], ...] = (
-    ("Z1", "Z2", "Z1Z2"),
-    ("X2", "X1", "X1X2"),
-    ("Z1X2", "X1Z2", "Y1Y2"),
-)
-
+# The PM square, row by row: cell (r, c) is entry 3r + c.  Names follow the
+# toy-model reading of each cell (subscript 1 = first qubit / toy bit,
+# 2 = second); note the swapped single-qubit entries in row 2 and the mixed
+# products in row 3.
 OBSERVABLES: Mapping[str, PauliWord] = {
     "Z1": PauliWord("Z", "I"),
     "Z2": PauliWord("I", "Z"),
@@ -120,19 +116,15 @@ COMMUTING: Mapping[str, frozenset[str]] = {
     for a in OBSERVABLE_NAMES
 }
 
-# Contexts as grid positions (row, col), rows then columns.
-CONTEXT_POSITIONS: Mapping[str, tuple[tuple[int, int], ...]] = {
-    "row1": ((0, 0), (0, 1), (0, 2)),
-    "row2": ((1, 0), (1, 1), (1, 2)),
-    "row3": ((2, 0), (2, 1), (2, 2)),
-    "col1": ((0, 0), (1, 0), (2, 0)),
-    "col2": ((0, 1), (1, 1), (2, 1)),
-    "col3": ((0, 2), (1, 2), (2, 2)),
+# Each context as indices into OBSERVABLE_NAMES: the rows, then the columns.
+CONTEXT_INDICES: Mapping[str, tuple[int, int, int]] = {
+    **{f"row{r + 1}": (3 * r, 3 * r + 1, 3 * r + 2) for r in range(3)},
+    **{f"col{c + 1}": (c, c + 3, c + 6) for c in range(3)},
 }
 
 CONTEXT_NAMES: Mapping[str, tuple[str, ...]] = {
-    ctx: tuple(GRID_NAMES[r][c] for r, c in pos)
-    for ctx, pos in CONTEXT_POSITIONS.items()
+    ctx: tuple(OBSERVABLE_NAMES[i] for i in triple)
+    for ctx, triple in CONTEXT_INDICES.items()
 }
 
 # All rows and the first two columns multiply to +identity; the last
@@ -204,7 +196,7 @@ def context_product_sign(context: str) -> int:
     """Sign s such that the ordered product of the context's operators is s*identity.
 
     Raises ValueError if the product is not proportional to the identity,
-    which would mean the grid itself is wrong.
+    which would mean the square itself is wrong.
     """
     import numpy as np
 
@@ -301,10 +293,10 @@ def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float
 
 
 def context_products(values: Sequence[int]) -> dict[str, int]:
-    """The six context products of nine signs given in grid order."""
+    """The six context products of nine signs given in `OBSERVABLE_NAMES` order."""
     return {
-        ctx: values[3 * r0 + c0] * values[3 * r1 + c1] * values[3 * r2 + c2]
-        for ctx, ((r0, c0), (r1, c1), (r2, c2)) in CONTEXT_POSITIONS.items()
+        ctx: values[a] * values[b] * values[c]
+        for ctx, (a, b, c) in CONTEXT_INDICES.items()
     }
 
 

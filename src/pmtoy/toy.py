@@ -4,9 +4,10 @@ A single toy bit has four ontic states (z, x) with the derived y = z*x.
 Two toy bits give the 16-point ontic space indexed by generator signs
 (z1, z2, x1, x2).  An observable's value is the product of the one-bit
 values (X -> x, Y -> z*x, Z -> z, I -> +1) along its Pauli word in
-`pauli.OBSERVABLES`, so each ontic state induces a 3x3 sign table over
-the PM square whose six context products are all +1, which is exactly
-why the noncontextual model cannot match the quantum -1 in the last column.
+`pauli.OBSERVABLES`, so each ontic state induces a sign table, nine signs
+in `pauli.OBSERVABLE_NAMES` order (the square row by row), whose six
+context products are all +1, which is exactly why the noncontextual
+model cannot match the quantum -1 in the last column.
 
 Measurement keeps the values of every PM observable compatible with the
 measured one (`pauli.COMMUTING`) and randomizes the rest: the successor
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import pauli
 from .machine import MealyMachine, uniform_row
@@ -31,18 +31,10 @@ from .machine import MealyMachine, uniform_row
 Sign = int
 
 _SIGN_CHARS = {+1: "+", -1: "-"}
-_CHAR_SIGNS = {"+": +1, "-": -1}
 
 
 def sign_char(v: Sign) -> str:
     return _SIGN_CHARS[v]
-
-
-def parse_signs(text: str) -> tuple[Sign, ...]:
-    try:
-        return tuple(_CHAR_SIGNS[ch] for ch in text)
-    except KeyError:
-        raise ValueError(f"not a sign string: {text!r}") from None
 
 
 class ToyBitOntic(NamedTuple):
@@ -103,13 +95,6 @@ class OnticState(NamedTuple):
     def label(self) -> str:
         return "".join(sign_char(v) for v in self)
 
-    @classmethod
-    def from_label(cls, text: str) -> "OnticState":
-        signs = parse_signs(text)
-        if len(signs) != 4:
-            raise ValueError(f"ontic state label needs 4 signs: {text!r}")
-        return cls(*signs)
-
 
 # All 16 states in the 4x4 drawing order: rows are bit-1 cells top to
 # bottom, columns are bit-2 cells left to right.
@@ -129,38 +114,18 @@ def observable_value(s: OnticState, name: str) -> Sign:
     return _AXIS_VALUE[word.factor1](bit1) * _AXIS_VALUE[word.factor2](bit2)
 
 
-@dataclass(frozen=True)
-class SignTable:
-    """A 3x3 grid of +/-1 outcome values, positions matching the PM square."""
-
-    values: tuple[tuple[Sign, ...], ...]
-
-    def context_products(self) -> dict[str, Sign]:
-        return pauli.context_products([v for row in self.values for v in row])
-
-    @classmethod
-    def from_values(cls, value: Callable[[str], Sign]) -> "SignTable":
-        """The table whose entry at each PM observable's grid position is value(name)."""
-        return cls(tuple(tuple(value(name) for name in row) for row in pauli.GRID_NAMES))
-
-    def compact(self) -> str:
-        return "/".join("".join(sign_char(v) for v in row) for row in self.values)
-
-    @classmethod
-    def from_compact(cls, text: str) -> "SignTable":
-        rows = text.split("/")
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError(f"not a 3x3 sign table: {text!r}")
-        return cls(tuple(parse_signs(r) for r in rows))
-
-
-def table_of(s: OnticState) -> SignTable:
-    """The PM-square sign table induced by an ontic state.
+def table_of(s: OnticState) -> tuple[Sign, ...]:
+    """The sign table induced by an ontic state, in `pauli.OBSERVABLE_NAMES` order.
 
     Row 1 is (z1, z2, z1*z2), row 2 is (x2, x1, x1*x2), row 3 the mixed
     products; all six context products are +1 by construction.
     """
-    return SignTable.from_values(lambda name: observable_value(s, name))
+    return tuple(observable_value(s, name) for name in pauli.OBSERVABLE_NAMES)
+
+
+def compact(table: Sequence[Sign]) -> str:
+    """A sign table (nine signs in OBSERVABLE_NAMES order) as "row1/row2/row3"."""
+    return "/".join("".join(map(sign_char, table[r : r + 3])) for r in (0, 3, 6))
 
 
 # The toy model's context signs: every ontic state's table multiplies to +1.

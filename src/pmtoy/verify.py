@@ -318,9 +318,10 @@ def verify_machine(
 
 
 _BOTTOM_TO_TOP = ("Y1Y2", "X1X2", "Z1Z2")
+_REFUTE_DEPTH = 4
 
 
-def refute_variant(kind: str, depth: int = 4) -> Violation:
+def refute_variant(kind: str) -> Violation:
     """Concrete refutation of one of the two rejected constructions.
 
     Verifies the variant from the all-plus contradiction-in-column state
@@ -329,12 +330,12 @@ def refute_variant(kind: str, depth: int = 4) -> Violation:
     would mean the variant construction regressed.
     """
     m = variant_machine(kind)
-    report = verify_machine(m, depth, starts=[ALIASES["a"].label])
+    report = verify_machine(m, _REFUTE_DEPTH, starts=[ALIASES["a"].label])
     for v in report.violations:
         if v.kind == CONTEXT_PRODUCT and v.sequence == _BOTTOM_TO_TOP:
             return v
     raise RuntimeError(
-        f"variant {kind!r} produced no column-3 refutation within depth {depth}"
+        f"variant {kind!r} produced no column-3 refutation within depth {_REFUTE_DEPTH}"
     )
 
 

@@ -24,7 +24,7 @@ from pmtoy.extension import (
 )
 from pmtoy.machine import Transcript
 from pmtoy.pauli import COMMUTING, knowledge_runs
-from pmtoy.toy import ALL_ONTIC, coset, observable_value, spekkens_machine, table_of
+from pmtoy.toy import ALL_ONTIC, compact, coset, observable_value, spekkens_machine, table_of
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
     check_transcript,
@@ -62,13 +62,25 @@ def test_criterion_1_operator_identities():
         assert np.array_equal(product, -np.eye(4))
 
 
+# Grid positions (row, col) of each context, rows then columns, written out
+# here rather than read from the table under test.
+_ROWS_THEN_COLUMNS = (
+    ((0, 0), (0, 1), (0, 2)),
+    ((1, 0), (1, 1), (1, 2)),
+    ((2, 0), (2, 1), (2, 2)),
+    ((0, 0), (1, 0), (2, 0)),
+    ((0, 1), (1, 1), (2, 1)),
+    ((0, 2), (1, 2), (2, 2)),
+)
+
+
 def test_criterion_2_ks_impossibility():
     with criterion(2, "0 of 512 sign tables satisfy QM signs; all six-products +1", 1.0):
         satisfying = 0
         for bits in itertools.product((+1, -1), repeat=9):
             table = (bits[0:3], bits[3:6], bits[6:9])
             products = []
-            for positions in pauli.CONTEXT_POSITIONS.values():
+            for positions in _ROWS_THEN_COLUMNS:
                 p = 1
                 for r, c in positions:
                     p *= table[r][c]
@@ -85,9 +97,9 @@ def test_criterion_2_ks_impossibility():
 
 def test_criterion_3_toy_model_fidelity():
     with criterion(3, "16 tables match the figure; spekkens16 preserves values", 1.0):
-        assert [table_of(s).compact() for s in ALL_ONTIC] == FIGURE_16
+        assert [compact(table_of(s)) for s in ALL_ONTIC] == FIGURE_16
         for s in ALL_ONTIC:
-            assert set(table_of(s).context_products().values()) == {+1}
+            assert set(pauli.context_products(table_of(s)).values()) == {+1}
         m = spekkens_machine()
         for si, s in enumerate(ALL_ONTIC):
             for oi, name in enumerate(pauli.OBSERVABLE_NAMES):

@@ -19,7 +19,7 @@ from pmtoy.extension import (
     variant_machine,
 )
 from pmtoy.pauli import COMMUTING
-from pmtoy.toy import ALL_ONTIC, OnticState, table_of
+from pmtoy.toy import ALL_ONTIC, OnticState, compact, table_of
 
 
 def test_thirty_two_states():
@@ -27,43 +27,33 @@ def test_thirty_two_states():
     assert sum(1 for s in ALL_EXT if s.c == +1) == 16
 
 
-def test_labels_round_trip():
-    for s in ALL_EXT:
-        assert ExtOnticState.from_label(s.label) == s
-    assert ExtOnticState.from_label("a") == ALIASES["a"]
-    with pytest.raises(ValueError):
-        ExtOnticState.from_label("++++")
-    with pytest.raises(ValueError):
-        ExtOnticState.from_label("++++/diag")
-
-
 def test_aliases_have_the_diagram_tables():
-    for alias, compact in DIAGRAM_TABLES.items():
-        assert ext_table(ALIASES[alias]).compact() == compact
+    for alias, table in DIAGRAM_TABLES.items():
+        assert compact(ext_table(ALIASES[alias])) == table
 
 
 def test_spec_example_tables():
-    assert ext_table(ExtOnticState(OnticState(+1, +1, +1, +1), +1)).compact() == "+++/+++/+++"
+    assert compact(ext_table(ExtOnticState(OnticState(+1, +1, +1, +1), +1))) == "+++/+++/+++"
     b = ExtOnticState(OnticState(+1, +1, +1, -1), -1)
-    assert ext_table(b).values == ((+1, +1, +1), (-1, +1, -1), (-1, +1, +1))
+    assert ext_table(b) == (+1, +1, +1, -1, +1, -1, -1, +1, +1)
     d = ExtOnticState(OnticState(+1, -1, +1, -1), +1)
-    assert ext_table(d).values == ((+1, -1, -1), (-1, +1, -1), (-1, -1, +1))
+    assert ext_table(d) == (+1, -1, -1, -1, +1, -1, -1, -1, +1)
 
 
 def test_extended_tables_match_both_figure_halves():
-    compacts = [ext_table(s).compact() for s in ALL_EXT]
+    compacts = [compact(ext_table(s)) for s in ALL_EXT]
     assert compacts[:16] == FIGURE_16
     assert compacts[16:] == FIGURE_32_RIGHT
 
 
 def test_cplus_half_equals_original_tables():
     for s in ALL_ONTIC:
-        assert ext_table(ExtOnticState(s, +1)).values == table_of(s).values
+        assert ext_table(ExtOnticState(s, +1)) == table_of(s)
 
 
 def test_context_products_track_the_contradiction_flag():
     for s in ALL_EXT:
-        products = ext_table(s).context_products()
+        products = pauli.context_products(ext_table(s))
         assert products["row1"] == products["row2"] == +1
         assert products["col1"] == products["col2"] == +1
         assert products["row3"] == s.c

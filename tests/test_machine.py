@@ -69,6 +69,13 @@ def test_validation_rejects_bad_output():
         _tiny_machine(outputs=(tuple([0] * 9), tuple([+1] * 9)))
 
 
+@pytest.mark.parametrize("value", [True, 1.0, Fraction(1)])
+def test_validation_rejects_an_output_the_file_reader_refuses(value):
+    # Accepted, to_json() wrote `true` or `1.0`, which from_json refused.
+    with pytest.raises(ValueError, match=r"not \+/-1"):
+        _tiny_machine(outputs=((value,) + (+1,) * 8, (+1,) * 9))
+
+
 def test_validation_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         _tiny_machine(states=("p", "p"))

@@ -70,15 +70,36 @@ def test_commutes_agrees_with_matrix_commutator():
 
 
 def test_grid_layout():
-    assert pauli.GRID_NAMES == (
+    # OBSERVABLE_NAMES lists the square row by row, and the contexts follow.
+    rows = (
         ("Z1", "Z2", "Z1Z2"),
         ("X2", "X1", "X1X2"),
         ("Z1X2", "X1Z2", "Y1Y2"),
     )
+    assert OBSERVABLE_NAMES == rows[0] + rows[1] + rows[2]
+    assert CONTEXT_NAMES == {
+        "row1": rows[0],
+        "row2": rows[1],
+        "row3": rows[2],
+        "col1": ("Z1", "X2", "Z1X2"),
+        "col2": ("Z2", "X1", "X1Z2"),
+        "col3": ("Z1Z2", "X1X2", "Y1Y2"),
+    }
+    assert list(CONTEXT_NAMES) == ["row1", "row2", "row3", "col1", "col2", "col3"]
     assert OBSERVABLES["Z1"] == PauliWord("Z", "I")
     assert OBSERVABLES["X2"] == PauliWord("I", "X")
     assert OBSERVABLES["Z1X2"] == PauliWord("Z", "X")
     assert OBSERVABLES["Y1Y2"] == PauliWord("Y", "Y")
+
+
+def test_context_products_read_nine_signs_row_by_row():
+    # One -1 flips exactly the row and the column through its cell.
+    for i, name in enumerate(OBSERVABLE_NAMES):
+        values = [+1] * 9
+        values[i] = -1
+        products = pauli.context_products(values)
+        flipped = {ctx for ctx, p in products.items() if p == -1}
+        assert flipped == {f"row{i // 3 + 1}", f"col{i % 3 + 1}"}, name
 
 
 def test_contexts_pairwise_commute():

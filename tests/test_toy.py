@@ -16,8 +16,8 @@ from pmtoy.toy import (
     TOY_SIGN,
     TOYBIT_CELLS,
     OnticState,
-    SignTable,
     ToyBitOntic,
+    compact,
     coset,
     observable_value,
     spekkens_machine,
@@ -76,27 +76,27 @@ def test_toybit_measure_rejects_bad_axis():
 
 def test_table_of_all_plus_state():
     t = table_of(OnticState(+1, +1, +1, +1))
-    assert t.compact() == "+++/+++/+++"
+    assert compact(t) == "+++/+++/+++"
 
 
 def test_table_of_worked_example_state():
     # (z1, z2, x1, x2) = (+, -, +, +) is the worked example table.
     t = table_of(OnticState(+1, -1, +1, +1))
-    assert t.values == ((+1, -1, -1), (+1, +1, +1), (+1, -1, -1))
+    assert t == (+1, -1, -1, +1, +1, +1, +1, -1, -1)
 
 
 def test_sixteen_tables_match_figure():
-    assert [table_of(s).compact() for s in ALL_ONTIC] == FIGURE_16
+    assert [compact(table_of(s)) for s in ALL_ONTIC] == FIGURE_16
 
 
 def test_all_context_products_plus_one():
     for s in ALL_ONTIC:
-        products = table_of(s).context_products()
+        products = pauli.context_products(table_of(s))
         assert set(products.values()) == {+1}
 
 
 def test_table_of_is_injective():
-    tables = {table_of(s).compact() for s in ALL_ONTIC}
+    tables = {table_of(s) for s in ALL_ONTIC}
     assert len(tables) == 16
 
 
@@ -271,9 +271,3 @@ def test_spekkens_machine_from_a_uniform_start_is_the_toy_rule():
     for seq in seqs:
         assert _uniform_machine_runs(m, seq) == knowledge_runs(seq, TOY_SIGN), seq
 
-
-def test_sign_table_round_trip():
-    t = SignTable.from_compact("+--/+++/+--")
-    assert t.compact() == "+--/+++/+--"
-    with pytest.raises(ValueError):
-        SignTable.from_compact("++/++/++")

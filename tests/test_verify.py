@@ -31,6 +31,7 @@ from pmtoy.verify import (
     family_cplus16,
     family_paper4,
     refute_variant,
+    _monitor,
     search_machines,
     verify_machine,
 )
@@ -538,6 +539,62 @@ def test_violation_keys_do_not_depend_on_input_order(kind, tmp_path, capsys):
         reports.append(report)
     assert reports[0]["violations"]
     assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dump_of_a_shuffled_file_is_the_builtin_dump(fmt, tmp_path, capsys):
+    # `dump` reads each output row by position; a file whose input columns
+    # come in another order still loads as the builtin and dumps its bytes.
+    path = tmp_path / "shuffled.json"
+    path.write_text(_shuffled_json(extended_machine()))
+    assert main(["dump", "--machine", "extended32", "--format", fmt]) == 0
+    builtin = capsys.readouterr().out
+    assert main(["dump", "--machine", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr().out == builtin
+
+
+def _new_keys_per_level(m):
+    """New product keys after 1, 2, ... measurements, from every start.
+
+    Breaching moves are not expanded, as in `verify_machine`; the last
+    count is the first 0.
+    """
+    breaches, moves = _monitor(m)
+    seen = {(s, 0, 0, 0, 0) for s in range(len(m.states))}
+    level, counts = list(seen), []
+    while level:
+        nxt = []
+        for key in level:
+            s, K, V, _, e1 = key
+            bad = breaches(key)
+            for bit, keep, neg, code, ts in moves[s]:
+                if bad & bit:
+                    continue
+                for t in ts:
+                    nkey = (t, (K & keep) | bit, (V & keep) | neg, e1, code)
+                    if nkey not in seen:
+                        seen.add(nkey)
+                        nxt.append(nkey)
+        level = nxt
+        counts.append(len(nxt))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("spekkens16", [144, 1872, 3360, 336, 48, 0]),
+        ("extended32", [224, 1760, 2624, 288, 0]),
+        ("extended32-randomized", [224, 2464, 3840, 288, 0]),
+        ("paper4", [8, 16, 0]),
+    ],
+)
+def test_product_graph_of_every_builtin_saturates_by_depth_six(name, counts):
+    # No key is new after five measurements, so a breach needs at most six:
+    # from depth 6 on, `verify_machine` sees every key and every breach.
+    from pmtoy.cli import build_machine
+
+    assert _new_keys_per_level(build_machine(name)) == counts
 
 
 def test_violation_list_holds_every_one_of_the_54_keys():
