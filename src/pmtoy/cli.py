@@ -6,10 +6,9 @@ Subcommands: `verify` (exhaustive depth-bounded verification), `ks-scan`
 search over a candidate family).
 
 Exit codes are stable across commands: 0 pass, 1 violations found,
-2 usage error, 3 search budget exhausted without full coverage.  With no
---output the report goes to stdout; the PMTOY_REPORT_DIR environment
-variable supplies a default report directory.  Reports with the same
-command and configuration (for `simulate`, the same seed) are
+2 usage error, 3 search budget exhausted without full coverage.  A report
+goes to the --output path when one is given, else to stdout.  Reports with
+the same command and configuration (for `simulate`, the same seed) are
 byte-identical except for the elapsed-time field.
 """
 
@@ -69,10 +68,7 @@ def build_machine(selector: str) -> MealyMachine:
         raise UsageError(f"cannot load machine from {selector}: {exc}") from None
 
 
-def _write_report(args: argparse.Namespace, default_name: str, text: str) -> None:
-    path = args.output
-    if path is None and os.environ.get("PMTOY_REPORT_DIR"):
-        path = os.path.join(os.environ["PMTOY_REPORT_DIR"], default_name)
+def _write_report(path: str | None, text: str) -> None:
     if path:
         try:
             with open(path, "w") as f:
@@ -132,12 +128,8 @@ def _report_text(report: VerificationReport) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = build_machine(args.machine)
     report = verify_machine(m, args.depth)
-    ext, render = {
-        "json": ("json", VerificationReport.to_json),
-        "csv": ("csv", _report_csv),
-        "text": ("txt", _report_text),
-    }[args.format]
-    _write_report(args, f"verify-{m.name}-depth{args.depth}.{ext}", render(report))
+    render = {"json": VerificationReport.to_json, "csv": _report_csv, "text": _report_text}
+    _write_report(args.output, render[args.format](report))
     return 0 if report.passed else 1
 
 
@@ -158,7 +150,7 @@ def cmd_ks_scan(args: argparse.Namespace) -> int:
             f"six-product values seen: {summary['six_product_values']}",
         ]
         text = "\n".join(lines) + "\n"
-    _write_report(args, f"ks-scan.{'json' if args.format == 'json' else 'txt'}", text)
+    _write_report(args.output, text)
     return 0
 
 
@@ -175,9 +167,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tokens = [t.strip() for t in args.seq.split(",") if t.strip()]
     if not tokens:
         raise UsageError("empty measurement sequence")
-    for t in tokens:
-        if t not in pauli.OBSERVABLES:
-            raise UsageError(f"unknown observable: {t!r}")
     state = _resolve_start(m, args.start)
     rng = random.Random(args.seed)
     lines = [f"machine: {m.name}  seed: {args.seed}"]
@@ -217,7 +206,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
     m = build_machine(args.machine)
     data = _dump_dict(m)
     if args.format == "json":
-        _write_report(args, f"dump-{m.name}.json", _json(data))
+        _write_report(args.output, _json(data))
         return 0
     lines = [f"machine: {m.name} ({len(data['states'])} states)"]
     for st in data["states"]:
@@ -225,7 +214,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
         prods = " ".join(f"{ctx}={p:+d}" for ctx, p in st["context_products"].items())
         dev = ",".join(st["qm_deviation"]) or "none"
         lines.append(f"{name:<14} {st['table']}  {prods}  deviation: {dev}")
-    _write_report(args, f"dump-{m.name}.txt", "\n".join(lines) + "\n")
+    _write_report(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -235,11 +224,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"unknown family {args.family!r}; expected one of {', '.join(FAMILIES)}"
         )
     outcome = search_machines(FAMILIES[args.family](), args.depth, budget=args.budget)
-    if args.format == "json":
-        ext, text = "json", _json(outcome.to_dict())
-    else:
-        ext, text = "txt", _search_text(outcome)
-    _write_report(args, f"search-{args.family}-depth{args.depth}.{ext}", text)
+    text = _json(outcome.to_dict()) if args.format == "json" else _search_text(outcome)
+    _write_report(args.output, text)
     return 0 if outcome.exhausted else 3
 
 

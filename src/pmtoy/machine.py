@@ -10,10 +10,13 @@ and family built here is uniform over its listed successors, from one
 state up to eight (cplus16), so weights such as 1/3 (all32-bit2) stay
 exact.  Machines are immutable after construction and safe to share.
 
-Structural invariants are enforced at build time: a machine has at least
-one state, every distribution names each successor once and sums to
-exactly 1, and every positive-probability successor assigns the measured
-input the same output as the current state (value preservation).
+Structural invariants are enforced at build time: a machine has a string
+name and at least one state, its states are a tuple of string labels, each
+weight prints as digits[/digits] (at most 32 digits each), every
+distribution names each successor once and sums to exactly 1, and every
+positive-probability successor assigns the measured input the same output
+as the current state (value preservation).  These are the file reader's
+rules, so a machine always reads back equal from its own `to_json()`.
 A transition row may also be empty, marking a deliberately partial
 machine such as the four-state diagram fixture.
 """
@@ -33,6 +36,7 @@ TransitionRow = tuple[tuple[int, Fraction], ...]
 
 # The form `to_json_dict` writes a weight in, with a bounded length, so
 # reading a file never hands `Fraction` an exponent or a huge numeral.
+# The constructor holds every weight to it too.
 _PROB = re.compile(r"[0-9]{1,32}(/[0-9]{1,32})?")
 
 
@@ -108,6 +112,10 @@ class MealyMachine:
     inputs: ClassVar[tuple[str, ...]] = pauli.OBSERVABLE_NAMES
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"machine name is not a string: {self.name!r:.40}")
+        if not isinstance(self.states, tuple) or not all(isinstance(x, str) for x in self.states):
+            raise ValueError(f"machine states must be a tuple of strings: {self.states!r:.40}")
         n, k = len(self.states), len(self.inputs)
         if n == 0:
             raise ValueError("machine has no states")
@@ -136,6 +144,8 @@ class MealyMachine:
                         f"sums to {total}"
                     )
                 for t, p in row:
+                    if not _PROB.fullmatch(str(p)):
+                        raise ValueError(f"transition prob is not digits[/digits]: {p!r:.40}")
                     if p <= 0:
                         raise ValueError("non-positive transition weight")
                     if not 0 <= t < n:
@@ -212,8 +222,6 @@ class MealyMachine:
     @classmethod
     def from_json_dict(cls, data: dict) -> "MealyMachine":
         _keyed(data, ("name", "inputs", "states", "outputs", "transitions"), "machine")
-        if not isinstance(data["name"], str):
-            raise ValueError(f"machine name is not a string: {data['name']!r:.40}")
         inputs = _parse_labels(data, "inputs")
         if sorted(inputs) != sorted(cls.inputs):
             raise ValueError(

@@ -353,12 +353,14 @@ def test_simulate_empty_sequence_exit_two(capsys):
 
 
 def test_simulate_unknown_observable_exit_two(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "--machine", "spekkens16", "--start", "++++", "--seq", "Z1,Q7",
-    )
-    assert code == 2
-    assert "Q7" in err
+    # In paper4 the bad token follows a step that succeeds.
+    for machine, start, seq in [("spekkens16", "++++", "Z1,Q7"), ("paper4", "a", "Z1Z2,Q7")]:
+        code, out, err = run_cli(
+            capsys, "simulate", "--machine", machine, "--start", start, "--seq", seq
+        )
+        assert code == 2
+        assert "Q7" in err
+        assert out == ""
 
 
 def test_dump_spekkens_matches_figure(capsys):
@@ -451,7 +453,7 @@ def test_search_unknown_family_exit_two(capsys):
     assert "unknown family" in err
 
 
-def test_output_path_and_report_dir(capsys, tmp_path, monkeypatch):
+def test_output_path(capsys, tmp_path, monkeypatch):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
         capsys,
@@ -462,14 +464,14 @@ def test_output_path_and_report_dir(capsys, tmp_path, monkeypatch):
     assert json.loads(target.read_text())["machine"] == "extended32"
     assert str(target) in out
 
+    # Without --output a report goes to stdout, whatever the environment says.
     report_dir = tmp_path / "reports"
     report_dir.mkdir()
     monkeypatch.setenv("PMTOY_REPORT_DIR", str(report_dir))
     code, out, _ = run_cli(capsys, "ks-scan", "--format", "json")
     assert code == 0
-    written = list(report_dir.iterdir())
-    assert len(written) == 1
-    assert json.loads(written[0].read_text())["qm_satisfying"] == 0
+    assert json.loads(out)["qm_satisfying"] == 0
+    assert list(report_dir.iterdir()) == []
 
 
 def test_console_script_entry_point():

@@ -103,9 +103,7 @@ def argvs(draw, machines, output_dir):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("PMTOY_REPORT_DIR", raising=False)
-        yield tmp_path_factory.mktemp("contract")
+    return tmp_path_factory.mktemp("contract")
 
 
 @pytest.mark.parametrize(

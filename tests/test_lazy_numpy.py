@@ -43,9 +43,8 @@ def run_fresh(script: str) -> str:
 def test_cli_subcommands_never_import_numpy():
     script = f"""
         import contextlib, io, json, sys
-        import pmtoy
-        after_import = "numpy" in sys.modules
         from pmtoy.cli import main
+        after_import = "numpy" in sys.modules
         results = []
         for argv in {CLI_CASES!r}:
             with contextlib.redirect_stdout(io.StringIO()):

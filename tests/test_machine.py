@@ -76,6 +76,31 @@ def test_validation_rejects_an_output_the_file_reader_refuses(value):
         _tiny_machine(outputs=((value,) + (+1,) * 8, (+1,) * 9))
 
 
+def _weights(*pairs):
+    return (tuple(pairs for _ in range(9)), tuple(deterministic_row(1) for _ in range(9)))
+
+
+UNREADABLE_BUILDS = {
+    "state-not-a-string": (dict(states=(0, 1)), "states must be a tuple of strings"),
+    "states-a-list": (dict(states=["p", "q"]), "states must be a tuple of strings"),
+    "name-none": (dict(name=None), "name is not a string"),
+    "weight-float": (dict(transitions=_weights((0, 0.5), (1, 0.5))), "not digits"),
+    "weight-bool": (dict(transitions=_weights((0, True))), "not digits"),
+    "weight-33-digits": (
+        dict(transitions=_weights((0, Fraction(1, 10**32)), (1, 1 - Fraction(1, 10**32)))),
+        "not digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_BUILDS))
+def test_validation_rejects_a_machine_its_own_file_would_not_read_back(case):
+    # Accepted, from_json(m.to_json()) refused it or read back an unequal machine.
+    overrides, message = UNREADABLE_BUILDS[case]
+    with pytest.raises(ValueError, match=message):
+        _tiny_machine(**overrides)
+
+
 def test_validation_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         _tiny_machine(states=("p", "p"))
