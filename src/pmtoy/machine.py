@@ -11,9 +11,9 @@ state up to eight (cplus16), so weights such as 1/3 (all32-bit2) stay
 exact.  Machines are immutable after construction and safe to share.
 
 Structural invariants are enforced at build time: a machine has a string
-name and at least one state, its states are a tuple of string labels, each
-weight prints as digits[/digits] (at most 32 digits each), every
-distribution names each successor once and sums to exactly 1, and every
+name and at least one state, its states and tables are tuples, its labels
+strings, each weight prints as digits[/digits] (at most 32 digits each),
+every distribution names each successor once and sums to exactly 1, and every
 positive-probability successor assigns the measured input the same output
 as the current state (value preservation).  These are the file reader's
 rules, so a machine always reads back equal from its own `to_json()`.
@@ -90,6 +90,11 @@ def _parse_row(entries: object, index: dict[str, int]) -> TransitionRow:
     return tuple(row)
 
 
+def _tuples(table: object, k: int) -> bool:
+    # A tuple of tuples of k entries each.
+    return isinstance(table, tuple) and all(isinstance(r, tuple) and len(r) == k for r in table)
+
+
 def uniform_row(successors: Iterable[int]) -> TransitionRow:
     succ = tuple(successors)
     if not succ:
@@ -121,40 +126,42 @@ class MealyMachine:
             raise ValueError("machine has no states")
         if len(set(self.states)) != n:
             raise ValueError("duplicate state labels")
-        if len(self.outputs) != n or any(len(row) != k for row in self.outputs):
-            raise ValueError("output table shape mismatch")
-        if len(self.transitions) != n or any(
-            len(row) != k for row in self.transitions
-        ):
-            raise ValueError("transition table shape mismatch")
+        # Tuples all the way down, as the file reader builds them: a list
+        # would read back from `to_json()` as an unequal tuple.
+        for what, table in (("output", self.outputs), ("transition", self.transitions)):
+            if not _tuples(table, k) or len(table) != n:
+                raise ValueError(f"{what} table is not a tuple of one 9-tuple per state")
         for s in range(n):
             for i in range(k):
                 _parse_output(self.outputs[s][i])
                 row = self.transitions[s][i]
+                if not _tuples(row, 2):
+                    raise ValueError(f"transition row is not a tuple of pairs: {row!r:.40}")
                 if not row:
                     continue
                 if len({t for t, _ in row}) != len(row):
                     raise ValueError(
                         f"repeated successor at ({self.states[s]},{self.inputs[i]})"
                     )
+                for t, p in row:
+                    # A string may print as digits too, but it is not a weight.
+                    if isinstance(p, str) or not _PROB.fullmatch(str(p)):
+                        raise ValueError(f"transition prob is not digits[/digits]: {p!r:.40}")
+                    if p <= 0:
+                        raise ValueError("non-positive transition weight")
+                    if type(t) is not int or not 0 <= t < n:
+                        raise ValueError(f"successor is not a state index: {t!r:.40}")
+                    if self.outputs[t][i] != self.outputs[s][i]:
+                        raise ValueError(
+                            "value preservation violated at "
+                            f"({self.states[s]},{self.inputs[i]})->{self.states[t]}"
+                        )
                 total = sum(p for _, p in row)
                 if total != 1:
                     raise ValueError(
                         f"distribution at ({self.states[s]},{self.inputs[i]}) "
                         f"sums to {total}"
                     )
-                for t, p in row:
-                    if not _PROB.fullmatch(str(p)):
-                        raise ValueError(f"transition prob is not digits[/digits]: {p!r:.40}")
-                    if p <= 0:
-                        raise ValueError("non-positive transition weight")
-                    if not 0 <= t < n:
-                        raise ValueError("successor index out of range")
-                    if self.outputs[t][i] != self.outputs[s][i]:
-                        raise ValueError(
-                            "value preservation violated at "
-                            f"({self.states[s]},{self.inputs[i]})->{self.states[t]}"
-                        )
 
     def state_index(self, state: int | str) -> int:
         if isinstance(state, int):

@@ -20,11 +20,12 @@ other verdicts walk one product graph, machine x (R)+(C) monitor, built by
 `_monitor`.  The monitor holds exactly what the constraints can ever look
 at, the pending repeatable values and the last two steps, so walking the
 graph is equivalent to enumerating all 9^L sequences.  `verify_machine`
-walks it breadth-first from every start state of one machine.
-`search_machines` walks it depth-first over the deterministic sub-machines
-of a family, a machine whose transition at (s, o) lists the moves a
-completion may pick, branching on a transition that a reached product
-state needs next and pruning as soon as one breaches (R) or (C).
+walks its reduced quotient breadth-first from every start state of one
+machine.  `search_machines` walks the raw graph depth-first over the
+deterministic sub-machines of a family, a machine whose transition at
+(s, o) lists the moves a completion may pick, branching on a transition
+that a reached product state needs next and pruning as soon as one
+breaches (R) or (C).
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ _KEEP = [
     sum(1 << j for j, nm in enumerate(_NAMES) if j != i and nm in pauli.COMMUTING[_NAMES[i]])
     for i in range(len(_NAMES))
 ]
+# _STEP_BIT[e]: the bit of the input that step code e measures, 0 for none.
+# After measuring input i, the last step e1 can still start a context only
+# if _STEP_BIT[e1] & _KEEP[i]; otherwise `verify_machine` forgets it.
+_STEP_BIT = [0] + [1 << i for i in range(len(_NAMES)) for _ in (+1, -1)]
 
 
 def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]:
@@ -203,6 +208,9 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
     input i at state s, moves[s][i] = (bit, keep, neg, code, successors),
     takes key (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg,
     e1, code) for each successor t; keep marks the inputs compatible with i.
+    `search_machines` walks these raw keys: its printed node counts depend
+    on them (on reduced keys, paper4 at depth 4 takes 80 nodes, not 75,
+    and all32-bit2 777, not 921, for the same completions).
     """
     out = m.outputs
     neg = [sum(1 << i for i, v in enumerate(row) if v < 0) for row in out]
@@ -231,15 +239,20 @@ def verify_machine(
     """Certify every input sequence of length <= depth from every start.
 
     Walks `_monitor`'s product graph breadth-first from the start keys
-    (s, 0, 0, 0, 0), so witnesses are depth-minimal.  Undefined transitions
-    of partial machines end the branch.  `parent` maps each reached key to
-    the key and input it was first reached from, None at a start; each
-    breach is re-checked by `check_transcript`'s rules on the witness run it
-    leads back to.  Violations are deduplicated by (kind, observables at the
-    breach, expected, observed), and every distinct one is reported: a
-    repeatability key is one of 9 observables and 2 outcomes, a context key
-    one of the 36 orderings of the 6 contexts with its sign fixed, so no
-    machine has more than 18 + 36 = 54.
+    (s, 0, 0, 0, 0), so witnesses are depth-minimal.  A new key's e2 is 0
+    unless `_STEP_BIT[e1] & keep`: e2 is read only through `_THIRD`, which
+    needs e2 and e1 to measure distinct compatible inputs, so merged keys
+    breach alike now and after every continuation.  Each level is the raw
+    walk's with repeated classes dropped, in order, so the report is the
+    raw walk's (2 528 keys for `extended32`, 4 928 raw).  Undefined
+    transitions of partial machines end the branch.  `parent` maps each
+    reached key to the key and input it was first reached from, None at a
+    start; each breach is re-checked by `check_transcript`'s rules on the
+    witness run it leads back to.  Violations are deduplicated by (kind,
+    observables at the breach, expected, observed), and every distinct one
+    is reported: a repeatability key is one of 9 observables and 2
+    outcomes, a context key one of the 36 orderings of the 6 contexts with
+    its sign fixed, so no machine has more than 18 + 36 = 54.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -289,8 +302,9 @@ def verify_machine(
                 if expand and ts:
                     nK = (K & kp) | bit
                     nV = (V & kp) | nb
+                    ne2 = e1 if _STEP_BIT[e1] & kp else 0
                     for t in ts:
-                        nkey = (t, nK, nV, e1, code)
+                        nkey = (t, nK, nV, ne2, code)
                         if nkey not in parent:
                             parent[nkey] = (key, i)
                             nxt.append(nkey)
@@ -421,12 +435,8 @@ _LEAST_FIRST = list(
     dict.fromkeys(_INDEX[nm] for c in _CTX_SEARCH_ORDER for nm in pauli.CONTEXT_NAMES[c])
 )[::-1]
 # _REGISTER[e1]: the inputs a key whose last step code is e1 waits on, least
-# preferred first; e1 = 1 + 2j or 2 + 2j codes a step measuring input j.
-_REGISTER = [_LEAST_FIRST] + [
-    sorted(_LEAST_FIRST, key=lambda i: _KEEP[i] >> j & 1)
-    for j in range(len(_NAMES))
-    for _ in (+1, -1)
-]
+# preferred first, so those compatible with e1's input come last.
+_REGISTER = [sorted(_LEAST_FIRST, key=lambda i: bool(_KEEP[i] & b)) for b in _STEP_BIT]
 
 
 class _Budget(Exception):

@@ -90,6 +90,24 @@ UNREADABLE_BUILDS = {
         dict(transitions=_weights((0, Fraction(1, 10**32)), (1, 1 - Fraction(1, 10**32)))),
         "not digits",
     ),
+    "outputs-a-list": (dict(outputs=[(+1,) * 9, (+1,) * 9]), "output table is not a tuple"),
+    "output-row-a-list": (dict(outputs=([+1] * 9, (+1,) * 9)), "output table is not a tuple"),
+    "transitions-a-list": (
+        dict(transitions=list(_tiny_machine().transitions)),
+        "transition table is not a tuple",
+    ),
+    "transition-table-row-a-list": (
+        dict(transitions=([deterministic_row(0)] * 9, (deterministic_row(1),) * 9)),
+        "transition table is not a tuple",
+    ),
+    "transition-row-a-list": (
+        dict(transitions=((list(deterministic_row(0)),) * 9, (deterministic_row(1),) * 9)),
+        "transition row is not a tuple",
+    ),
+    "transition-entry-a-list": (
+        dict(transitions=_weights([0, Fraction(1)])),
+        "transition row is not a tuple",
+    ),
 }
 
 
@@ -99,6 +117,24 @@ def test_validation_rejects_a_machine_its_own_file_would_not_read_back(case):
     overrides, message = UNREADABLE_BUILDS[case]
     with pytest.raises(ValueError, match=message):
         _tiny_machine(**overrides)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (((0, "1"),), "not digits"),
+        (((0, "1/2"), (1, "1/2")), "not digits"),
+        ((("0", Fraction(1)),), "not a state index"),
+        (((0.0, Fraction(1)),), "not a state index"),
+    ],
+    ids=["weight-1", "weights-1/2", "successor-str", "successor-float"],
+)
+def test_validation_raises_value_error_for_a_string_or_float_entry(weights, message):
+    # A TypeError from summing the weights before their form was checked,
+    # from comparing a string successor with the state count, or from
+    # indexing the output table with a float one.
+    with pytest.raises(ValueError, match=message):
+        _tiny_machine(transitions=_weights(*weights))
 
 
 def test_validation_rejects_duplicate_labels():

@@ -4,6 +4,7 @@ import collections
 import decimal
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,17 @@ from pmtoy.verify import (
     CONTEXT_PRODUCT,
     REPEATABILITY,
     VerificationReport,
+    Violation,
     check_transcript,
     family_all32_bit2,
     family_cplus16,
     family_paper4,
     refute_variant,
+    _check_run,
+    _Key,
     _monitor,
+    _NAMES,
+    _STEP_BIT,
     search_machines,
     verify_machine,
 )
@@ -553,11 +559,13 @@ def test_dump_of_a_shuffled_file_is_the_builtin_dump(fmt, tmp_path, capsys):
     assert capsys.readouterr().out == builtin
 
 
-def _new_keys_per_level(m):
+def _new_keys_per_level(m, reduced=False):
     """New product keys after 1, 2, ... measurements, from every start.
 
     Breaching moves are not expanded, as in `verify_machine`; the last
-    count is the first 0.
+    count is the first 0.  The raw keys are the ones `search_machines`
+    walks; reduced=True forgets e1 unless it can still start a context, as
+    `verify_machine` does.
     """
     breaches, moves = _monitor(m)
     seen = {(s, 0, 0, 0, 0) for s in range(len(m.states))}
@@ -571,7 +579,8 @@ def _new_keys_per_level(m):
                 if bad & bit:
                     continue
                 for t in ts:
-                    nkey = (t, (K & keep) | bit, (V & keep) | neg, e1, code)
+                    e2 = e1 if not reduced or _STEP_BIT[e1] & keep else 0
+                    nkey = (t, (K & keep) | bit, (V & keep) | neg, e2, code)
                     if nkey not in seen:
                         seen.add(nkey)
                         nxt.append(nkey)
@@ -595,6 +604,142 @@ def test_product_graph_of_every_builtin_saturates_by_depth_six(name, counts):
     from pmtoy.cli import build_machine
 
     assert _new_keys_per_level(build_machine(name)) == counts
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("spekkens16", [144, 576, 1056, 336, 48, 0]),
+        ("extended32", [224, 704, 1280, 288, 0]),
+        ("extended32-randomized", [224, 704, 1280, 288, 0]),
+        ("paper4", [8, 0]),
+    ],
+)
+def test_reduced_product_graph_of_every_builtin(name, counts):
+    # The graph `verify_machine` walks: a key keeps its second-last step
+    # only while that step can still start a context, so equivalent raw
+    # keys merge.  It saturates no later than the raw graph above.
+    from pmtoy.cli import build_machine
+
+    assert _new_keys_per_level(build_machine(name), reduced=True) == counts
+
+
+def _raw_verify_machine(m, depth, starts=None):
+    """`verify_machine` on the raw product keys, its second-last step always kept.
+
+    The reference for the reduced walk: the loop as it stood before keys
+    forgot that step.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    t0 = time.perf_counter()
+    out = m.outputs
+    breaches, moves = _monitor(m)
+    if starts is None:
+        start_indices = range(len(m.states))
+    else:
+        start_indices = [m.state_index(s) for s in starts]
+        if not start_indices:
+            raise ValueError("starts must name at least one state")
+    parent: dict[_Key, tuple[_Key, int] | None] = {
+        (s, 0, 0, 0, 0): None for s in start_indices
+    }
+    n_starts = len(parent)
+    level = list(parent)
+
+    found: dict[tuple, Violation] = {}
+
+    def witness(key: _Key, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+        run = [(key[0], i)]
+        while parent[key]:
+            key, i = parent[key]
+            run.append((key[0], i))
+        seq = tuple(_NAMES[i] for _, i in reversed(run))
+        return m.states[key[0]], seq, tuple(out[s][i] for s, i in reversed(run))
+
+    for d in range(depth):
+        expand = d + 1 < depth
+        nxt: list[_Key] = []
+        for key in level:
+            s, K, V, _, e1 = key
+            bad = breaches(key)
+            for i, (bit, kp, nb, code, ts) in enumerate(moves[s]):
+                if bad & bit:
+                    start_label, seq, outs = witness(key, i)
+                    for vio in _check_run(seq, outs, start_label):
+                        dedup = (
+                            vio.kind,
+                            tuple(seq[p] for p in vio.positions),
+                            vio.expected,
+                            vio.observed,
+                        )
+                        found.setdefault(dedup, vio)
+                    continue
+                if expand and ts:
+                    nK = (K & kp) | bit
+                    nV = (V & kp) | nb
+                    for t in ts:
+                        nkey = (t, nK, nV, e1, code)
+                        if nkey not in parent:
+                            parent[nkey] = (key, i)
+                            nxt.append(nkey)
+        level = nxt
+        if not level:
+            break
+
+    elapsed = (time.perf_counter() - t0) * 1000
+    violations = tuple(
+        sorted(
+            found.values(),
+            key=lambda v: (len(v.sequence), v.kind, v.sequence, v.positions),
+        )
+    )
+    # n * (9 + 9^2 + ... + 9^depth) for n distinct starts, in closed form.
+    total = n_starts * 9 * (9**depth - 1) // 8
+    return VerificationReport(
+        machine=m.name,
+        depth=depth,
+        sequences_checked=total,
+        violations=violations,
+        elapsed_ms=elapsed,
+        notes=tuple(m.notes),
+    )
+
+
+@st.composite
+def _small_ontic_machines(draw):
+    """A value-preserving machine on 1-6 extended states, some rows empty."""
+    from pmtoy.extension import ALL_EXT, ext_value
+
+    chosen = draw(st.lists(st.sampled_from(ALL_EXT), min_size=1, max_size=6, unique=True))
+    moves = {
+        (s, o): draw(
+            st.lists(
+                st.sampled_from([t for t in chosen if ext_value(t, o) == ext_value(s, o)]),
+                unique=True,
+            )
+        )
+        for s in chosen
+        for o in pauli.OBSERVABLE_NAMES
+    }
+    return ontic_machine(
+        "random", {s.label: s for s in chosen}, ext_value, lambda s, o: moves[s, o]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_small_ontic_machines(), depth=st.integers(min_value=1, max_value=6), data=st.data())
+def test_reduced_walk_reports_what_the_raw_walk_reports(m, depth, data):
+    # Merged keys breach alike now and after every continuation, and the
+    # reduced levels are the raw ones with repeated classes dropped, so the
+    # first witness of every violation, and the report, are the same.
+    starts = data.draw(st.none() | st.lists(st.sampled_from(m.states), min_size=1))
+    reports = [
+        walk(m, depth, starts).to_dict() for walk in (verify_machine, _raw_verify_machine)
+    ]
+    for report in reports:
+        del report["elapsed_ms"]
+    assert reports[0] == reports[1]
 
 
 def test_violation_list_holds_every_one_of_the_54_keys():
