@@ -23,7 +23,9 @@ machine such as the four-state diagram fixture.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ TransitionRow = tuple[tuple[int, Fraction], ...]
 # The form `to_json_dict` writes a weight in, with a bounded length, so
 # reading a file never hands `Fraction` an exponent or a huge numeral.
 # The constructor holds every weight to it too.
-_PROB = re.compile(r"[0-9]{1,32}(/[0-9]{1,32})?")
+_PROB = re.compile(r"([0-9]{1,32})(?:/([0-9]{1,32}))?")
 
 
 def _parse_prob(text: object) -> Fraction:
@@ -79,14 +81,20 @@ def _table(data: dict, key: str, states: tuple, parse: Callable) -> tuple:
     )
 
 
-def _parse_row(entries: object, index: dict[str, int]) -> TransitionRow:
+def _parse_row(
+    entries: object, index: dict[str, int], weights: dict[str, Fraction]
+) -> TransitionRow:
+    # `weights` maps each weight text read so far to its one Fraction, which
+    # the constructor then checks once; a non-string raises before it is stored.
     if not isinstance(entries, list):
         raise ValueError(f"transition row is not a list: {entries!r:.40}")
     row = []
     for to, prob in (_keyed(e, ("to", "prob"), "transition entry") for e in entries):
         if not isinstance(to, str) or to not in index:
             raise ValueError(f"transition to an unknown state: {to!r:.40}")
-        row.append((index[to], _parse_prob(prob)))
+        if not isinstance(prob, str) or prob not in weights:
+            weights[prob] = _parse_prob(prob)
+        row.append((index[to], weights[prob]))
     return tuple(row)
 
 
@@ -95,16 +103,22 @@ def _tuples(table: object, k: int) -> bool:
     return isinstance(table, tuple) and all(isinstance(r, tuple) and len(r) == k for r in table)
 
 
+@functools.cache
+def _uniform_weight(k: int) -> Fraction:
+    # One object per row length, so a machine's constructor checks it once.
+    return Fraction(1, k)
+
+
 def uniform_row(successors: Iterable[int]) -> TransitionRow:
     succ = tuple(successors)
     if not succ:
         return ()
-    p = Fraction(1, len(succ))
+    p = _uniform_weight(len(succ))
     return tuple((t, p) for t in succ)
 
 
 def deterministic_row(successor: int) -> TransitionRow:
-    return ((successor, Fraction(1)),)
+    return ((successor, _uniform_weight(1)),)
 
 
 @dataclass(frozen=True)
@@ -131,6 +145,10 @@ class MealyMachine:
         for what, table in (("output", self.outputs), ("transition", self.transitions)):
             if not _tuples(table, k) or len(table) != n:
                 raise ValueError(f"{what} table is not a tuple of one 9-tuple per state")
+        # Each weight object is checked once: by identity, since equal values
+        # such as Fraction(1, 2) and 0.5, or 1 and True, are not both weights.
+        # It maps to the numerator and denominator it prints as.
+        weights: dict[int, tuple[int, int]] = {}
         for s in range(n):
             for i in range(k):
                 _parse_output(self.outputs[s][i])
@@ -143,12 +161,18 @@ class MealyMachine:
                     raise ValueError(
                         f"repeated successor at ({self.states[s]},{self.inputs[i]})"
                     )
+                fractions = []
                 for t, p in row:
-                    # A string may print as digits too, but it is not a weight.
-                    if isinstance(p, str) or not _PROB.fullmatch(str(p)):
-                        raise ValueError(f"transition prob is not digits[/digits]: {p!r:.40}")
-                    if p <= 0:
-                        raise ValueError("non-positive transition weight")
+                    w = weights.get(id(p))
+                    if w is None:
+                        # A string may print as digits too, but it is not a weight.
+                        form = None if isinstance(p, str) else _PROB.fullmatch(str(p))
+                        if form is None:
+                            raise ValueError(f"transition prob is not digits[/digits]: {p!r:.40}")
+                        if p <= 0:
+                            raise ValueError("non-positive transition weight")
+                        w = weights[id(p)] = (int(form[1]), int(form[2] or 1))
+                    fractions.append(w)
                     if type(t) is not int or not 0 <= t < n:
                         raise ValueError(f"successor is not a state index: {t!r:.40}")
                     if self.outputs[t][i] != self.outputs[s][i]:
@@ -156,11 +180,13 @@ class MealyMachine:
                             "value preservation violated at "
                             f"({self.states[s]},{self.inputs[i]})->{self.states[t]}"
                         )
-                total = sum(p for _, p in row)
-                if total != 1:
+                # The exact sum, over a common denominator.
+                den = math.lcm(*(d for _, d in fractions))
+                total = sum(num * (den // d) for num, d in fractions)
+                if total != den:
                     raise ValueError(
                         f"distribution at ({self.states[s]},{self.inputs[i]}) "
-                        f"sums to {total}"
+                        f"sums to {Fraction(total, den)}"
                     )
 
     def state_index(self, state: int | str) -> int:
@@ -237,7 +263,8 @@ class MealyMachine:
         states = _parse_labels(data, "states")
         index = {label: i for i, label in enumerate(states)}
         outputs = _table(data, "outputs", states, _parse_output)
-        transitions = _table(data, "transitions", states, lambda r: _parse_row(r, index))
+        weights: dict[str, Fraction] = {}
+        transitions = _table(data, "transitions", states, lambda r: _parse_row(r, index, weights))
         return cls(data["name"], states, outputs, transitions)
 
     @classmethod

@@ -16,21 +16,25 @@ not sufficient.  From ++++/col, `extended32` emits Z1, Z2, X1X2, Z1Z2 ->
 earlier Z1 and Z2 outcomes and commutes with X1X2.
 
 `check_transcript` applies the constraints literally to one run.  All
-other verdicts walk one product graph, machine x (R)+(C) monitor, built by
-`_monitor`.  The monitor holds exactly what the constraints can ever look
-at, the pending repeatable values and the last two steps, so walking the
-graph is equivalent to enumerating all 9^L sequences.  `verify_machine`
-walks its reduced quotient breadth-first from every start state of one
-machine.  `search_machines` walks the raw graph depth-first over the
-deterministic sub-machines of a family, a machine whose transition at
-(s, o) lists the moves a completion may pick, branching on a transition
-that a reached product state needs next and pruning as soon as one
-breaches (R) or (C).
+other verdicts walk one product graph, machine x (R)+(C) monitor.  The
+monitor holds exactly what the constraints can ever look at, the pending
+repeatable values and the last two steps, so walking the graph is
+equivalent to enumerating all 9^L sequences.  It is a fixed finite
+automaton, compiled on first use into a transition table (`_compiled`):
+739 states for the reduced monitor, 1 477 for the raw one.  A product key
+is one int, and one step of either walk is one table lookup.
+`verify_machine` walks machine x reduced monitor breadth-first from every
+start state of one machine.  `search_machines` walks machine x raw monitor
+depth-first over the deterministic sub-machines of a family, a machine
+whose transition at (s, o) lists the moves a completion may pick,
+branching on a transition that a reached product state needs next and
+pruning as soon as one breaches (R) or (C).
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import time
@@ -164,11 +168,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-# A product key (s, K, V, e2, e1): a machine state and a `_monitor` state.
-_Key = tuple[int, int, int, int, int]
-# A product move at (s, i): (bit, keep, neg bit, step code, successors).
-_Move = tuple[int, int, int, int, tuple[int, ...]]
-
 _NAMES = pauli.OBSERVABLE_NAMES
 _INDEX = {nm: i for i, nm in enumerate(_NAMES)}
 
@@ -192,45 +191,62 @@ _KEEP = [
 ]
 # _STEP_BIT[e]: the bit of the input that step code e measures, 0 for none.
 # After measuring input i, the last step e1 can still start a context only
-# if _STEP_BIT[e1] & _KEEP[i]; otherwise `verify_machine` forgets it.
+# if _STEP_BIT[e1] & _KEEP[i]; otherwise the reduced monitor forgets it.
 _STEP_BIT = [0] + [1 << i for i in range(len(_NAMES)) for _ in (+1, -1)]
+# Step codes run from 1 to 18: a monitor table has a row of _CODES entries
+# per state.
+_CODES = len(_STEP_BIT)
+_BREACH = -1
 
 
-def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]:
-    """The product graph of machine m with the (R)+(C) monitor.
+@functools.cache
+def _compiled(reduced: bool) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The (R)+(C) monitor as a transition table (next, bad, last), built on first use.
 
     A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
     input i (the i-th of `pauli.OBSERVABLE_NAMES`) and bit i of V says it is
-    -1; e2 and e1 code the last two steps as 1 + 2i + (v < 0), 0 for none.
-    The monitor's own tables, `_THIRD` and `_KEEP`, are built once; per
-    machine only its output signs and moves are.  breaches(key) is the mask
-    of inputs whose measurement at the key breaches (R) or (C).  Measuring
-    input i at state s, moves[s][i] = (bit, keep, neg, code, successors),
-    takes key (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg,
-    e1, code) for each successor t; keep marks the inputs compatible with i.
-    `search_machines` walks these raw keys: its printed node counts depend
-    on them (on reduced keys, paper4 at depth 4 takes 80 nodes, not 75,
-    and all32-bit2 777, not 921, for the same completions).
+    -1; e2 and e1 are the last two step codes, 0 for none.  The states
+    reachable from (0, 0, 0, 0) are numbered breadth-first from 0.
+    next[mu * _CODES + c] is the state after step code c at mu, or _BREACH
+    if the step breaches (R) or (C); bad[mu] has bit c set for those steps,
+    and last[mu] is mu's e1.  The raw monitor has 1 477 states.  The reduced
+    one forgets e2 unless `_STEP_BIT[e1] & _KEEP[i]`: e2 is read only
+    through `_THIRD`, which needs e2 and e1 to measure distinct compatible
+    inputs, so merged states breach alike now and after every continuation.
+    Its 739 states are the least monitor that reports the same violations.
     """
-    out = m.outputs
-    neg = [sum(1 << i for i, v in enumerate(row) if v < 0) for row in out]
-    moves = [
-        [
-            (1 << i, _KEEP[i], neg[s] & (1 << i), _code(i, v), m.successors(s, i))
-            for i, v in enumerate(row)
-        ]
-        for s, row in enumerate(out)
+    states = [(0, 0, 0, 0)]
+    number = {states[0]: 0}
+    nxt: list[int] = []
+    bad: list[int] = []
+    # Per step code, in order: its input i and output v, i's bit in K, its
+    # bit in V, and the inputs compatible with i.
+    steps = [
+        (_code(i, v), i, v, 1 << i, (1 << i) * (v < 0), _KEEP[i])
+        for i, v in itertools.product(range(len(_NAMES)), (1, -1))
     ]
-
-    def breaches(key: _Key) -> int:
-        s, K, V, e2, e1 = key
-        bad = K & (V ^ neg[s])
+    for K, V, e2, e1 in states:  # appended to while walked: breadth-first
         ctx = _THIRD.get((e2, e1))
-        if ctx is not None and out[s][ctx[0]] != ctx[1]:
-            bad |= 1 << ctx[0]
-        return bad
+        nxt.append(_BREACH)  # step code 0, never taken
+        bad.append(0)
+        for code, i, v, bit, neg, keep in steps:
+            if (K & bit and (V & bit) != neg) or (ctx and ctx[0] == i and ctx[1] != v):
+                bad[-1] |= 1 << code
+                nxt.append(_BREACH)
+                continue
+            e2_next = e1 if not reduced or _STEP_BIT[e1] & keep else 0
+            state = ((K & keep) | bit, (V & keep) | neg, e2_next, code)
+            nxt.append(number.setdefault(state, len(number)))
+            if len(number) > len(states):
+                states.append(state)
+    # Tuples: every caller in the process shares them.
+    return tuple(nxt), tuple(bad), tuple(state[3] for state in states)
 
-    return breaches, moves
+
+def _steps(m: MealyMachine) -> tuple[list[list[int]], list[int]]:
+    """Per machine state, the step code of each input, and the mask of those codes."""
+    codes = [[_code(i, v) for i, v in enumerate(row)] for row in m.outputs]
+    return codes, [sum(1 << c for c in row) for row in codes]
 
 
 def verify_machine(
@@ -238,57 +254,64 @@ def verify_machine(
 ) -> VerificationReport:
     """Certify every input sequence of length <= depth from every start.
 
-    Walks `_monitor`'s product graph breadth-first from the start keys
-    (s, 0, 0, 0, 0), so witnesses are depth-minimal.  A new key's e2 is 0
-    unless `_STEP_BIT[e1] & keep`: e2 is read only through `_THIRD`, which
-    needs e2 and e1 to measure distinct compatible inputs, so merged keys
-    breach alike now and after every continuation.  Each level is the raw
-    walk's with repeated classes dropped, in order, so the report is the
-    raw walk's (2 528 keys for `extended32`, 4 928 raw).  Undefined
-    transitions of partial machines end the branch.  `parent` maps each
-    reached key to the key and input it was first reached from, None at a
-    start; each breach is re-checked by `check_transcript`'s rules on the
-    witness run it leads back to.  Violations are deduplicated by (kind,
-    observables at the breach, expected, observed), and every distinct one
-    is reported: a repeatability key is one of 9 observables and 2
-    outcomes, a context key one of the 36 orderings of the 6 contexts with
-    its sign fixed, so no machine has more than 18 + 36 = 54.
+    Walks machine x reduced monitor (`_compiled(True)`) breadth-first from
+    the start keys, so witnesses are depth-minimal.  A product key is one
+    int, mu * n + s for monitor state mu and machine state s of n, and one
+    step is one table lookup.  Each level is the raw walk's with repeated
+    classes dropped, in order, so the report is the raw walk's (2 528 keys
+    for `extended32`, 4 928 raw).  Undefined transitions of partial machines
+    end the branch.  `parent` maps each reached key to the key and input it
+    was first reached from, None at a start; each breach is re-checked by
+    `check_transcript`'s rules on the witness run it leads back to.
+    Violations are deduplicated by (kind, observables at the breach,
+    expected, observed), and every distinct one is reported: a
+    repeatability key is one of 9 observables and 2 outcomes, a context key
+    one of the 36 orderings of the 6 contexts with its sign fixed, so no
+    machine has more than 18 + 36 = 54.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     t0 = time.perf_counter()
     out = m.outputs
-    breaches, moves = _monitor(m)
+    nxt, bad, _ = _compiled(True)
+    n = len(m.states)
+    codes, code_mask = _steps(m)
+    moves = [
+        [(i, codes[s][i], [t for t, _ in r]) for i, r in enumerate(row)]
+        for s, row in enumerate(m.transitions)
+    ]
     if starts is None:
-        start_indices = range(len(m.states))
+        start_indices = range(n)
     else:
         start_indices = [m.state_index(s) for s in starts]
         if not start_indices:
             raise ValueError("starts must name at least one state")
-    parent: dict[_Key, tuple[_Key, int] | None] = {
-        (s, 0, 0, 0, 0): None for s in start_indices
-    }
+    # Monitor state 0 is the empty one, so a start key is its machine state.
+    parent: dict[int, tuple[int, int] | None] = {s: None for s in start_indices}
     n_starts = len(parent)
     level = list(parent)
 
     found: dict[tuple, Violation] = {}
 
-    def witness(key: _Key, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
-        run = [(key[0], i)]
+    def witness(key: int, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+        run = [(key % n, i)]
         while parent[key]:
             key, i = parent[key]
-            run.append((key[0], i))
+            run.append((key % n, i))
         seq = tuple(_NAMES[i] for _, i in reversed(run))
-        return m.states[key[0]], seq, tuple(out[s][i] for s, i in reversed(run))
+        return m.states[key % n], seq, tuple(out[s][i] for s, i in reversed(run))
 
     for d in range(depth):
         expand = d + 1 < depth
-        nxt: list[_Key] = []
+        new: list[int] = []
         for key in level:
-            s, K, V, _, e1 = key
-            bad = breaches(key)
-            for i, (bit, kp, nb, code, ts) in enumerate(moves[s]):
-                if bad & bit:
+            mu, s = divmod(key, n)
+            if not (expand or bad[mu] & code_mask[s]):
+                continue
+            row = mu * _CODES
+            for i, code, ts in moves[s]:
+                step = nxt[row + code]
+                if step == _BREACH:
                     start_label, seq, outs = witness(key, i)
                     for vio in _check_run(seq, outs, start_label):
                         dedup = (
@@ -299,16 +322,14 @@ def verify_machine(
                         )
                         found.setdefault(dedup, vio)
                     continue
-                if expand and ts:
-                    nK = (K & kp) | bit
-                    nV = (V & kp) | nb
-                    ne2 = e1 if _STEP_BIT[e1] & kp else 0
+                if expand:
+                    step *= n
                     for t in ts:
-                        nkey = (t, nK, nV, ne2, code)
+                        nkey = step + t
                         if nkey not in parent:
                             parent[nkey] = (key, i)
-                            nxt.append(nkey)
-        level = nxt
+                            new.append(nkey)
+        level = new
         if not level:
             break
 
@@ -452,9 +473,12 @@ def search_machines(
     A family with an undefined transition, a budget below 1 or a negative
     max_machines raises ValueError.
 
-    Depth-first over transition tables on `_monitor`'s product graph, the
-    one `verify_machine` walks: the family's moves give each (state, input)
-    pair its domain, and a completion assigns each pair one successor.
+    Depth-first over transition tables on machine x raw monitor
+    (`_compiled(False)`), keys mu * n + s as in `verify_machine`: the
+    family's moves give each (state, input) pair its domain, and a
+    completion assigns each pair one successor.  The raw monitor keeps the
+    printed node counts: on reduced keys, paper4 at depth 4 takes 80 nodes,
+    not 75, and all32-bit2 777, not 921, for the same completions.
     Each product key reached from some start under the partial table keeps
     the least depth it is reached at, and a key below depth L - 1 whose
     next step needs an unassigned (state, input) pair waits on it.
@@ -477,39 +501,42 @@ def search_machines(
     if not family.is_total:
         raise ValueError(f"family {family.name!r} has an undefined transition")
     n, k = len(family.states), len(_NAMES)
-    breaches, moves = _monitor(family)
+    nxt, bad, last = _compiled(False)
+    codes, code_mask = _steps(family)
+    moves = [[[t for t, _ in r] for r in row] for row in family.transitions]
 
     table = [[-1] * k for _ in range(n)]  # successor per (state, input), -1 unassigned
-    best: dict[_Key, int] = {}  # least depth of each reached key
-    trail: list[tuple[_Key, int | None]] = []  # (key, its previous depth), for undo
+    best: dict[int, int] = {}  # least depth of each reached key
+    trail: list[tuple[int, int | None]] = []  # (key, its previous depth), for undo
     # Per machine state, its keys below depth L - 1: the waiters on its pairs.
-    expanding: list[list[_Key]] = [[] for _ in range(n)]
+    expanding: list[list[int]] = [[] for _ in range(n)]
     waited: list[tuple[int, int]] = []  # pairs in the order keys waited on them
-    queue: collections.deque[_Key] = collections.deque()
+    queue: collections.deque[int] = collections.deque()
 
-    def reach(key: _Key, d: int) -> bool:
+    def reach(key: int, d: int) -> bool:
         old = best.get(key)
         if old is not None and old <= d:
             return True
-        if old is None and breaches(key):
+        mu, s = divmod(key, n)
+        if old is None and bad[mu] & code_mask[s]:
             return False
         trail.append((key, old))
         best[key] = d
         if d < depth - 1:
-            expanding[key[0]].append(key)
+            expanding[s].append(key)
             queue.append(key)
         return True
 
-    def succ(key: _Key, i: int, t: int) -> _Key:
-        s, K, V, _, e1 = key
-        bit, kp, nb, code, _ = moves[s][i]
-        return (t, (K & kp) | bit, (V & kp) | nb, e1, code)
+    def succ(key: int, i: int, t: int) -> int:
+        mu, s = divmod(key, n)
+        return nxt[mu * _CODES + codes[s][i]] * n + t
 
     def propagate() -> bool:
         while queue:
             key = queue.popleft()
-            s, d = key[0], best[key] + 1
-            for i in _REGISTER[key[4]]:
+            mu, s = divmod(key, n)
+            d = best[key] + 1
+            for i in _REGISTER[last[mu]]:
                 t = table[s][i]
                 if t < 0:
                     waited.append((s, i))
@@ -530,7 +557,7 @@ def search_machines(
         while len(trail) > trail_len:
             key, old = trail.pop()
             if best[key] < depth - 1:
-                expanding[key[0]].pop()
+                expanding[key % n].pop()
             if old is None:
                 del best[key]
             else:
@@ -575,7 +602,7 @@ def search_machines(
             realize()
         else:
             s, i = pair
-            for t in moves[s][i][4]:
+            for t in moves[s][i]:
                 marks = len(trail), len(waited)
                 if assign(s, i, t):
                     dfs()
@@ -583,9 +610,10 @@ def search_machines(
             table[s][i] = -1
         waited.extend(reversed(done))
 
-    # The roots cannot breach, and with nothing assigned they only wait.
+    # The roots, keys s of the empty monitor state 0, cannot breach, and
+    # with nothing assigned they only wait.
     for s in range(n):
-        reach((s, 0, 0, 0, 0), 0)
+        reach(s, 0)
     propagate()
     exhausted = True
     try:

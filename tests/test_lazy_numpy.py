@@ -1,7 +1,7 @@
-"""numpy is loaded only where a matrix is built.
+"""numpy is loaded only where a matrix is built, a monitor table only where it is walked.
 
 Each test runs in a fresh interpreter, because this test process has
-already imported numpy.
+already imported numpy and compiled the tables.
 """
 
 import json
@@ -84,3 +84,33 @@ def test_matrix_api_imports_numpy_on_first_use():
         print("ok")
     """
     assert run_fresh(script) == "ok\n"
+
+
+def test_monitor_tables_are_compiled_only_by_the_commands_that_walk_them():
+    # Neither table is built at import: `ks-scan`, `simulate` and `dump`
+    # compile none, `verify` only the reduced one, `search` the raw one too.
+    script = """
+        import contextlib, io, json
+        from pmtoy.cli import main
+        from pmtoy.verify import _compiled
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) in (0, 1), argv
+            return _compiled.cache_info().currsize
+
+        sizes = [_compiled.cache_info().currsize]
+        sizes += [run(["ks-scan", "--format", "json"])]
+        sizes += [run(["simulate", "--machine", "extended32", "--start", "a",
+                       "--seq", "Z1Z2,X1X2,Y1Y2", "--seed", "11"])]
+        sizes += [run(["dump", "--machine", "extended32"])]
+        sizes += [run(["verify", "--machine", "extended32", "--depth", "3"])]
+        misses = _compiled.cache_info().misses
+        _compiled(True)
+        reduced_was_compiled = _compiled.cache_info().misses == misses
+        sizes += [run(["search", "--family", "paper4", "--depth", "3"])]
+        print(json.dumps([sizes, reduced_was_compiled]))
+    """
+    sizes, reduced_was_compiled = json.loads(run_fresh(script))
+    assert sizes == [0, 0, 0, 0, 1, 2]
+    assert reduced_was_compiled

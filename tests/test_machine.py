@@ -120,6 +120,32 @@ def test_validation_rejects_a_machine_its_own_file_would_not_read_back(case):
 
 
 @pytest.mark.parametrize(
+    "accepted, refused",
+    [(Fraction(1), True), (1, True), (Fraction(1, 2), 0.5)],
+    ids=["fraction-then-bool", "int-then-bool", "half-then-float"],
+)
+def test_validation_checks_a_weight_equal_to_one_already_accepted(accepted, refused):
+    # Each pair compares and hashes equal, so a check remembered by value
+    # would let the refused weight through after the accepted one.
+    def row(p):
+        return ((0, p),) if p == 1 else ((0, p), (1, p))
+
+    first = (row(accepted),) * 8 + (row(refused),)
+    with pytest.raises(ValueError, match="not digits"):
+        _tiny_machine(transitions=(first, tuple(deterministic_row(1) for _ in range(9))))
+
+
+@pytest.mark.parametrize(
+    "weights, total",
+    [((Fraction(1, 3), Fraction(1, 2)), "5/6"), ((1, 1), "2"), ((Fraction(1, 6),) * 2, "1/3")],
+)
+def test_validation_reports_the_exact_sum(weights, total):
+    row = tuple(enumerate(weights))
+    with pytest.raises(ValueError, match=f"^distribution at \\(p,Z1\\) sums to {total}$"):
+        _tiny_machine(transitions=((row,) * 9, tuple(deterministic_row(1) for _ in range(9))))
+
+
+@pytest.mark.parametrize(
     "weights, message",
     [
         (((0, "1"),), "not digits"),

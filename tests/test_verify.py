@@ -6,6 +6,7 @@ import itertools
 import json
 import time
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,14 @@ from pmtoy.verify import (
     family_cplus16,
     family_paper4,
     refute_variant,
+    _BREACH,
     _check_run,
-    _Key,
-    _monitor,
+    _code,
+    _CODES,
+    _compiled,
+    _KEEP,
     _NAMES,
-    _STEP_BIT,
+    _THIRD,
     search_machines,
     verify_machine,
 )
@@ -563,29 +567,30 @@ def _new_keys_per_level(m, reduced=False):
     """New product keys after 1, 2, ... measurements, from every start.
 
     Breaching moves are not expanded, as in `verify_machine`; the last
-    count is the first 0.  The raw keys are the ones `search_machines`
-    walks; reduced=True forgets e1 unless it can still start a context, as
-    `verify_machine` does.
+    count is the first 0.  The keys are the walkers' own, on the compiled
+    monitor tables: the raw table is the one `search_machines` walks, and
+    reduced=True the one `verify_machine` walks, which forgets e2 unless e1
+    can still start a context.
     """
-    breaches, moves = _monitor(m)
-    seen = {(s, 0, 0, 0, 0) for s in range(len(m.states))}
+    nxt, _, _ = _compiled(reduced)
+    n = len(m.states)
+    seen = set(range(n))
     level, counts = list(seen), []
     while level:
-        nxt = []
+        new = []
         for key in level:
-            s, K, V, _, e1 = key
-            bad = breaches(key)
-            for bit, keep, neg, code, ts in moves[s]:
-                if bad & bit:
+            mu, s = divmod(key, n)
+            for i, v in enumerate(m.outputs[s]):
+                step = nxt[mu * _CODES + _code(i, v)]
+                if step == _BREACH:
                     continue
-                for t in ts:
-                    e2 = e1 if not reduced or _STEP_BIT[e1] & keep else 0
-                    nkey = (t, (K & keep) | bit, (V & keep) | neg, e2, code)
+                for t in m.successors(s, i):
+                    nkey = step * n + t
                     if nkey not in seen:
                         seen.add(nkey)
-                        nxt.append(nkey)
-        level = nxt
-        counts.append(len(nxt))
+                        new.append(nkey)
+        level = new
+        counts.append(len(new))
     return counts
 
 
@@ -622,6 +627,129 @@ def test_reduced_product_graph_of_every_builtin(name, counts):
     from pmtoy.cli import build_machine
 
     assert _new_keys_per_level(build_machine(name), reduced=True) == counts
+
+
+def _shortest_words(nxt):
+    """Per monitor state, a shortest step-code word reaching it from state 0."""
+    words = {0: ()}
+    queue = [0]
+    for mu in queue:
+        for code in range(1, _CODES):
+            nu = nxt[mu * _CODES + code]
+            if nu != _BREACH and nu not in words:
+                words[nu] = words[mu] + (code,)
+                queue.append(nu)
+    return words
+
+
+def _last_step_violations(word):
+    """The violation keys `_check_run` reports at the last step of a code word."""
+    seq = [_NAMES[(c - 1) // 2] for c in word]
+    outs = [-1 if (c - 1) % 2 else 1 for c in word]
+    return tuple(
+        sorted({_key(v) for v in _check_run(seq, outs) if max(v.positions) == len(word) - 1})
+    )
+
+
+def _classes(nxt, label):
+    """The number of classes of Moore's partition refinement, from `label`."""
+    classes = label
+    while True:
+        signature = {
+            mu: (classes[mu], tuple(classes.get(nxt[mu * _CODES + c]) for c in range(1, _CODES)))
+            for mu in classes
+        }
+        ids = {}
+        refined = {mu: ids.setdefault(sig, len(ids)) for mu, sig in signature.items()}
+        if len(ids) == len(set(classes.values())):
+            return len(ids)
+        classes = refined
+
+
+@pytest.mark.parametrize("reduced, size", [(True, 739), (False, 1477)])
+def test_compiled_monitor_breaches_where_the_literal_checks_do(reduced, size):
+    # Every state is reached; each of its 18 steps is a breach exactly when
+    # the literal checks report a violation at that step, after a shortest
+    # word reaching the state.
+    nxt, bad, last = _compiled(reduced)
+    words = _shortest_words(nxt)
+    assert len(words) == len(bad) == len(last) == size
+    assert len(nxt) == size * _CODES
+    for mu, word in words.items():
+        assert last[mu] == (word[-1] if word else 0)
+        for code in range(1, _CODES):
+            breach = nxt[mu * _CODES + code] == _BREACH
+            assert breach == bool(bad[mu] >> code & 1)
+            assert breach == bool(_last_step_violations(word + (code,))), (word, code)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_no_smaller_monitor_reports_the_same_violations(reduced):
+    # Refining by the violations each step reports leaves 739 classes, the
+    # reduced monitor's states: it is the least monitor whose witnesses, and
+    # so whose reports, are the literal checks'.  By pass/fail alone 595
+    # classes remain, but such a quotient could report other witnesses.
+    nxt, _, _ = _compiled(reduced)
+    words = _shortest_words(nxt)
+    steps = {
+        mu: tuple(_last_step_violations(word + (c,)) for c in range(1, _CODES))
+        for mu, word in words.items()
+    }
+    by_violation, by_breach = {}, {}
+    violation_label = {
+        mu: by_violation.setdefault(row, len(by_violation)) for mu, row in steps.items()
+    }
+    breach_label = {
+        mu: by_breach.setdefault(tuple(map(bool, row)), len(by_breach))
+        for mu, row in steps.items()
+    }
+    assert _classes(nxt, violation_label) == 739
+    assert _classes(nxt, breach_label) == 595
+
+
+# The product graph as it was built before the monitor was compiled into a
+# table, kept as the reference that `_raw_verify_machine` walks.
+# A product key (s, K, V, e2, e1): a machine state and a `_monitor` state.
+_Key = tuple[int, int, int, int, int]
+# A product move at (s, i): (bit, keep, neg bit, step code, successors).
+_Move = tuple[int, int, int, int, tuple[int, ...]]
+
+
+def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]:
+    """The product graph of machine m with the (R)+(C) monitor.
+
+    A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
+    input i (the i-th of `pauli.OBSERVABLE_NAMES`) and bit i of V says it is
+    -1; e2 and e1 code the last two steps as 1 + 2i + (v < 0), 0 for none.
+    The monitor's own tables, `_THIRD` and `_KEEP`, are built once; per
+    machine only its output signs and moves are.  breaches(key) is the mask
+    of inputs whose measurement at the key breaches (R) or (C).  Measuring
+    input i at state s, moves[s][i] = (bit, keep, neg, code, successors),
+    takes key (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg,
+    e1, code) for each successor t; keep marks the inputs compatible with i.
+    `search_machines` walks these raw keys: its printed node counts depend
+    on them (on reduced keys, paper4 at depth 4 takes 80 nodes, not 75,
+    and all32-bit2 777, not 921, for the same completions).
+    """
+    out = m.outputs
+    neg = [sum(1 << i for i, v in enumerate(row) if v < 0) for row in out]
+    moves = [
+        [
+            (1 << i, _KEEP[i], neg[s] & (1 << i), _code(i, v), m.successors(s, i))
+            for i, v in enumerate(row)
+        ]
+        for s, row in enumerate(out)
+    ]
+
+    def breaches(key: _Key) -> int:
+        s, K, V, e2, e1 = key
+        bad = K & (V ^ neg[s])
+        ctx = _THIRD.get((e2, e1))
+        if ctx is not None and out[s][ctx[0]] != ctx[1]:
+            bad |= 1 << ctx[0]
+        return bad
+
+    return breaches, moves
 
 
 def _raw_verify_machine(m, depth, starts=None):
