@@ -5,50 +5,28 @@ the nine PM observables as Pauli words (`OBSERVABLES`, the one place
 they are written down, row by row: the toy model reads its values from
 these words), their compatibility table (`COMMUTING`, built from
 `commutes`), the six contexts as index triples into that order and their
-product signs, sequential projective measurement (Lueders rule)
-from the maximally mixed state, and the brute-force parity scan over all
-512 noncontextual sign assignments.
+product signs, and the brute-force parity scan over all 512
+noncontextual sign assignments.
 
-`measure_knowledge` and `knowledge_runs` give the exact rule: a knowledge
-state is the frozenset of fixed (observable, value) pairs, and with every
-context sign +1 (`toy.TOY_SIGN`) the same rule is Spekkens' toy model.
-`qm_outcome_tree` is the float matrix form, the reference the rule is
-tested against.  Its matrix entries are dyadic Gaussian rationals, so
-float64 complex arithmetic is exact; the tolerance PROB_TOL below is a
-contract, not a working margin.
-
-numpy is imported only where a matrix is built: by `PauliWord.matrix`,
-`context_product_sign`, `maximally_mixed` and `qm_outcome_tree`.  The CLI,
-the machines, the verifier and the exact rule never load it.
+There is one quantum oracle, and it is exact: `measure_knowledge` and
+`knowledge_runs`.  A knowledge state is the frozenset of fixed
+(observable, value) pairs; with `PRESCRIBED_SIGN` the rule is sequential
+projective measurement (the Lueders rule) from the maximally mixed state,
+and with every context sign +1 (`toy.TOY_SIGN`) it is Spekkens' toy
+model.  `qm_outcome_tree` walks the same rule into a tree with float
+branch weights; it exists for the benchmark's `oracle-trees` workload.
+No matrix is built anywhere in the package.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
-
-PROB_TOL = 1e-12
+from typing import Iterator, Mapping, Sequence
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
-
-
-@functools.cache
-def _single_qubit() -> Mapping[str, np.ndarray]:
-    import numpy as np
-
-    return {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
 
 
 @dataclass(frozen=True)
@@ -63,20 +41,8 @@ class PauliWord:
             if f not in PAULI_LETTERS:
                 raise ValueError(f"not a Pauli letter: {f!r}")
 
-    def matrix(self) -> np.ndarray:
-        """4x4 Hermitian unitary matrix of the word."""
-        import numpy as np
-
-        single = _single_qubit()
-        return np.kron(single[self.factor1], single[self.factor2])
-
     def __str__(self) -> str:
         return self.factor1 + self.factor2
-
-
-ALL_WORDS: tuple[PauliWord, ...] = tuple(
-    PauliWord(a, b) for a in PAULI_LETTERS for b in PAULI_LETTERS
-)
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -192,28 +158,6 @@ def knowledge_runs(
     return {outs: w for outs, (w, _) in runs.items()}
 
 
-def context_product_sign(context: str) -> int:
-    """Sign s such that the ordered product of the context's operators is s*identity.
-
-    Raises ValueError if the product is not proportional to the identity,
-    which would mean the square itself is wrong.
-    """
-    import numpy as np
-
-    words = [OBSERVABLES[n] for n in CONTEXT_NAMES[context]]
-    product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
-    for sign in (+1, -1):
-        if np.allclose(product, sign * np.eye(4), atol=PROB_TOL):
-            return sign
-    raise ValueError(f"context {context} does not multiply to +/-identity")
-
-
-def maximally_mixed() -> np.ndarray:
-    import numpy as np
-
-    return np.eye(4, dtype=complex) / 4
-
-
 @dataclass(frozen=True)
 class OutcomeBranch:
     outcome: int
@@ -223,60 +167,25 @@ class OutcomeBranch:
 
 @dataclass(frozen=True)
 class OutcomeNode:
-    """A node of a sequential-measurement tree: the state plus its outcome splits."""
+    """A node of a sequential-measurement tree: its outcome splits."""
 
-    rho: np.ndarray
     branches: tuple[OutcomeBranch, ...]
 
 
-@functools.cache
-def _projector_table() -> Mapping[PauliWord, tuple[np.ndarray, np.ndarray]]:
-    """Eigenprojectors (identity +/- M)/2 of all 16 two-qubit Pauli words."""
-    import numpy as np
-
-    eye = np.eye(4)
-    return {w: ((eye + w.matrix()) / 2, (eye - w.matrix()) / 2) for w in ALL_WORDS}
-
-
-def _as_word(obs: str | PauliWord) -> PauliWord:
-    if isinstance(obs, PauliWord):
-        return obs
-    try:
-        return OBSERVABLES[obs]
-    except KeyError:
-        raise ValueError(f"unknown observable name: {obs!r}") from None
-
-
-def qm_outcome_tree(seq: Sequence[str | PauliWord]) -> OutcomeNode:
-    """Sequential projective measurement tree under the Lueders rule, from I/4.
-
-    At each step the state splits along the +/-1 eigenprojectors
-    P = (identity +/- M)/2; surviving branches are renormalized and
-    branches with probability below PROB_TOL are pruned.
-    """
-    import numpy as np
-
+def qm_outcome_tree(seq: Sequence[str]) -> OutcomeNode:
+    """The runs of `knowledge_runs(seq)` as a tree, branch weights as floats (1.0 or 0.5)."""
     if len(seq) == 0:
         raise ValueError("measurement sequence must be non-empty")
-    words = [_as_word(o) for o in seq]
-    projector_table = _projector_table()
 
-    def build(state: np.ndarray, remaining: list[PauliWord]) -> OutcomeNode:
+    def build(k: Knowledge, remaining: Sequence[str]) -> OutcomeNode:
         if not remaining:
-            return OutcomeNode(rho=state, branches=())
-        plus, minus = projector_table[remaining[0]]
-        branches = []
-        for outcome, proj in ((+1, plus), (-1, minus)):
-            p = float(np.trace(proj @ state).real)
-            if p < PROB_TOL:
-                continue
-            child_state = proj @ state @ proj / p
-            branches.append(
-                OutcomeBranch(outcome, p, build(child_state, remaining[1:]))
-            )
-        return OutcomeNode(rho=state, branches=tuple(branches))
+            return OutcomeNode(())
+        branches = measure_knowledge(k, remaining[0])
+        return OutcomeNode(tuple(
+            OutcomeBranch(v, float(p), build(nxt, remaining[1:])) for v, p, nxt in branches
+        ))
 
-    return build(maximally_mixed(), words)
+    return build(frozenset(), seq)
 
 
 def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float]]:

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from lueders import matrix
 from pm_figures import FIGURE_16
 from pmtoy import pauli
 from pmtoy.extension import (
@@ -54,12 +55,10 @@ def criterion(number, description, budget_s):
 def test_criterion_1_operator_identities():
     with criterion(1, "six context operator products are +/-identity exactly", 1.0):
         for ctx in ("row1", "row2", "row3", "col1", "col2"):
-            words = [pauli.OBSERVABLES[n] for n in pauli.CONTEXT_NAMES[ctx]]
-            product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
-            assert np.array_equal(product, np.eye(4))
-        words = [pauli.OBSERVABLES[n] for n in pauli.CONTEXT_NAMES["col3"]]
-        product = words[0].matrix() @ words[1].matrix() @ words[2].matrix()
-        assert np.array_equal(product, -np.eye(4))
+            a, b, c = pauli.CONTEXT_NAMES[ctx]
+            assert np.array_equal(matrix(a) @ matrix(b) @ matrix(c), np.eye(4))
+        a, b, c = pauli.CONTEXT_NAMES["col3"]
+        assert np.array_equal(matrix(a) @ matrix(b) @ matrix(c), -np.eye(4))
 
 
 # Grid positions (row, col) of each context, rows then columns, written out

@@ -1,7 +1,8 @@
-"""numpy is loaded only where a matrix is built, a monitor table only where it is walked.
+"""pmtoy runs without numpy, and compiles a monitor table only where it is walked.
 
-Each test runs in a fresh interpreter, because this test process has
-already imported numpy and compiled the tables.
+numpy is a test dependency only: the package builds no matrix.  Each
+test runs in a fresh interpreter, because this test process has already
+imported numpy and compiled the tables.
 """
 
 import json
@@ -60,30 +61,38 @@ def test_cli_subcommands_never_import_numpy():
         assert not numpy_loaded, command
 
 
-def test_matrix_api_imports_numpy_on_first_use():
-    script = """
-        import sys
+def test_package_runs_with_numpy_blocked():
+    # A None entry in sys.modules makes every `import numpy` raise ImportError.
+    script = f"""
+        import contextlib, importlib, io, json, pathlib, sys
+        sys.modules["numpy"] = None
+        import pmtoy
         from pmtoy import pauli
-        assert "numpy" not in sys.modules
+        from pmtoy.cli import main
 
-        # The exact rule builds no matrix.
-        runs = pauli.knowledge_runs(["Z1", "X1"])
-        assert sorted(runs.values()) == [0.25] * 4
-        assert "numpy" not in sys.modules
+        for f in pathlib.Path(pmtoy.__file__).parent.glob("*.py"):
+            importlib.import_module("pmtoy" if f.stem == "__init__" else "pmtoy." + f.stem)
+        codes = []
+        for argv in {CLI_CASES!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
 
-        # Z1 measured from I/4: the float oracle itself loads numpy.
+        # Z1 then X1 from I/4: the exact rule and the tree built from it.
+        assert sorted(pauli.knowledge_runs(["Z1", "X1"]).values()) == [0.25] * 4
         tree = pauli.qm_outcome_tree(["Z1"])
         assert [(b.outcome, b.probability) for b in tree.branches] == [(1, 0.5), (-1, 0.5)]
-        assert "numpy" in sys.modules
+        assert dict(pauli.tree_transcripts(tree)) == {{(1,): 0.5, (-1,): 0.5}}
         try:
             pauli.NO_SUCH_NAME
         except AttributeError:
             pass
         else:
             raise AssertionError("pauli.NO_SUCH_NAME did not raise")
-        print("ok")
+        print(json.dumps(codes))
     """
-    assert run_fresh(script) == "ok\n"
+    codes = json.loads(run_fresh(script))
+    assert len(codes) == len(CLI_CASES)
+    assert all(code in (0, 1) for code in codes), codes
 
 
 def test_monitor_tables_are_compiled_only_by_the_commands_that_walk_them():

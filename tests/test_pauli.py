@@ -6,19 +6,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lueders import ALL_WORDS, MIXED, lueders_runs, matrix, projector
 from pmtoy import pauli
 from pmtoy.pauli import (
-    ALL_WORDS,
     CONTEXT_NAMES,
     OBSERVABLE_NAMES,
     OBSERVABLES,
     PRESCRIBED_SIGN,
     PauliWord,
     commutes,
-    context_product_sign,
     knowledge_runs,
     ks_scan_summary,
-    maximally_mixed,
     measure_knowledge,
     qm_outcome_tree,
     tree_transcripts,
@@ -32,26 +30,26 @@ def test_sixteen_distinct_words():
 
 
 def test_identity_word_gives_identity_matrix():
-    assert np.array_equal(PauliWord("I", "I").matrix(), np.eye(4))
+    assert np.array_equal(matrix(PauliWord("I", "I")), np.eye(4))
 
 
 def test_z1_matrix_is_diagonal_with_balanced_spectrum():
-    m = PauliWord("Z", "I").matrix()
+    m = matrix(PauliWord("Z", "I"))
     assert np.array_equal(m, np.diag([1, 1, -1, -1]))
     assert sorted(np.linalg.eigvalsh(m)) == [-1, -1, 1, 1]
 
 
 def test_all_words_square_to_identity():
     for w in ALL_WORDS:
-        m = w.matrix()
+        m = matrix(w)
         assert np.allclose(m @ m, np.eye(4), atol=1e-12)
         assert np.allclose(m, m.conj().T, atol=1e-12)
 
 
 def test_last_column_operator_identity():
-    zz = PauliWord("Z", "Z").matrix()
-    xx = PauliWord("X", "X").matrix()
-    yy = PauliWord("Y", "Y").matrix()
+    zz = matrix(PauliWord("Z", "Z"))
+    xx = matrix(PauliWord("X", "X"))
+    yy = matrix(PauliWord("Y", "Y"))
     assert np.allclose(zz @ xx @ yy, -np.eye(4), atol=1e-12)
 
 
@@ -64,7 +62,7 @@ def test_commutes_examples():
 
 def test_commutes_agrees_with_matrix_commutator():
     for a, b in itertools.product(ALL_WORDS, repeat=2):
-        ma, mb = a.matrix(), b.matrix()
+        ma, mb = matrix(a), matrix(b)
         matrix_commute = np.allclose(ma @ mb, mb @ ma, atol=1e-12)
         assert commutes(a, b) == matrix_commute, (a, b)
 
@@ -124,7 +122,10 @@ def test_compatibility_graph_maximal_cliques_are_the_contexts():
 
 
 def test_context_product_signs():
-    signs = {ctx: context_product_sign(ctx) for ctx in PRESCRIBED_SIGN}
+    signs = {}
+    for ctx, (a, b, c) in CONTEXT_NAMES.items():
+        product = matrix(a) @ matrix(b) @ matrix(c)
+        signs[ctx] = next(s for s in (+1, -1) if np.array_equal(product, s * np.eye(4)))
     assert signs == dict(PRESCRIBED_SIGN)
     total = 1
     for s in signs.values():
@@ -169,18 +170,9 @@ def test_outcome_tree_repeated_measurement_is_deterministic():
         assert outcomes[0] == outcomes[1]
 
 
-def test_outcome_tree_accepts_pauli_words_directly():
-    root = qm_outcome_tree([PauliWord("Z", "Z"), PauliWord("X", "X"), PauliWord("Y", "Y")])
-    for outcomes, _ in tree_transcripts(root):
-        assert outcomes[0] * outcomes[1] * outcomes[2] == -1
-
-
-def test_outcome_tree_measures_words_outside_the_square():
+def test_lueders_reference_measures_words_outside_the_square():
     # Y1 is none of the nine PM observables.
-    root = qm_outcome_tree([PauliWord("Y", "I")] * 2)
-    runs = dict(tree_transcripts(root))
-    assert set(runs) == {(+1, +1), (-1, -1)}
-    assert all(p == pytest.approx(0.5, abs=1e-12) for p in runs.values())
+    assert lueders_runs([PauliWord("Y", "I")] * 2) == {(+1, +1): 0.5, (-1, -1): 0.5}
 
 
 def test_outcome_tree_rejects_bad_initial_state():
@@ -199,15 +191,11 @@ def _reachable_knowledge(signs):
     return states
 
 
-def _projector(name, v):
-    return (np.eye(4) + v * OBSERVABLES[name].matrix()) / 2
-
-
 def _density(k):
     """I/4 projected onto the fixed values of k, renormalized."""
-    rho = maximally_mixed()
+    rho = MIXED
     for name, v in k:
-        rho = _projector(name, v) @ rho @ _projector(name, v)
+        rho = projector(name, v) @ rho @ projector(name, v)
     return rho / np.trace(rho).real
 
 
@@ -217,13 +205,13 @@ def test_knowledge_rule_is_the_lueders_rule_on_every_reachable_state():
     # the rule's branches, so the rule equals QM at every length.
     states = _reachable_knowledge(PRESCRIBED_SIGN)
     assert Counter(len(k) for k in states) == {0: 1, 1: 18, 3: 24}
-    assert np.array_equal(_density(frozenset()), maximally_mixed())
+    assert np.array_equal(_density(frozenset()), MIXED)
     for k in states:
         rho = _density(k)
         for name in OBSERVABLE_NAMES:
             lueders = {}
             for v in (+1, -1):
-                proj = _projector(name, v)
+                proj = projector(name, v)
                 p = np.trace(proj @ rho).real
                 if p != 0:
                     lueders[v] = (p, proj @ rho @ proj / p)
@@ -242,7 +230,15 @@ def test_knowledge_runs_equal_the_float_oracle():
     length4 = itertools.islice(itertools.product(OBSERVABLE_NAMES, repeat=4), 0, None, 37)
     for seq in [*short, *length4]:
         exact = {outs: float(w) for outs, w in knowledge_runs(seq).items()}
-        assert exact == dict(tree_transcripts(qm_outcome_tree(seq))), seq
+        assert exact == lueders_runs(seq), seq
+
+
+def test_outcome_tree_is_the_knowledge_rule():
+    # Every sequence of length 1-3: the benchmark's exhaustive set.
+    for n in (1, 2, 3):
+        for seq in itertools.product(OBSERVABLE_NAMES, repeat=n):
+            exact = {outs: float(w) for outs, w in knowledge_runs(seq).items()}
+            assert dict(tree_transcripts(qm_outcome_tree(seq))) == exact, seq
 
 
 def test_knowledge_rule_accepts_only_the_nine_names():
@@ -250,6 +246,9 @@ def test_knowledge_rule_accepts_only_the_nine_names():
         measure_knowledge(frozenset(), "Y1")
     with pytest.raises(ValueError, match="not a PM observable"):
         knowledge_runs(["Z1", PauliWord("Z", "I")])
+    for seq in (["Z1", PauliWord("Z", "I")], ["Y1"]):
+        with pytest.raises(ValueError, match="not a PM observable"):
+            qm_outcome_tree(seq)
 
 
 def test_ks_parity_scan_counts():

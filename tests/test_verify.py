@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lueders import lueders_runs
 from pmtoy import pauli
 from pmtoy.cli import main
 from pmtoy.extension import extended_machine, four_state_machine, variant_machine
@@ -22,7 +23,7 @@ from pmtoy.machine import (
     enumerate_transcripts,
     uniform_row,
 )
-from pmtoy.pauli import knowledge_runs, qm_outcome_tree, tree_transcripts
+from pmtoy.pauli import knowledge_runs
 from pmtoy.toy import ontic_machine, spekkens_machine
 from pmtoy.verify import (
     CONTEXT_PRODUCT,
@@ -115,9 +116,9 @@ def test_gate_passes_a_run_quantum_mechanics_forbids():
     assert runs[witness].probability > 0
     assert check_transcript(runs[witness]) == []
     assert knowledge_runs(seq).get(witness, 0) == 0
-    qm = dict(tree_transcripts(qm_outcome_tree(seq)))
+    qm = lueders_runs(seq)
     assert witness not in qm
-    assert sum(qm.values()) == pytest.approx(1.0)
+    assert sum(qm.values()) == 1.0
 
 
 def test_sequences_checked_closed_form():
