@@ -8,7 +8,9 @@ A machine file may list its input columns in any order, but must name
 each of the nine once.  Distributions are exact `Fraction`s: every machine
 and family built here is uniform over its listed successors, from one
 state up to eight (cplus16), so weights such as 1/3 (all32-bit2) stay
-exact.  Machines are immutable after construction and safe to share.
+exact.  `step` samples a successor by comparing its float draw with the
+cumulative weights exactly, as integers over the row's common
+denominator.  Machines are immutable after construction and safe to share.
 
 Structural invariants are enforced at build time: a machine has a string
 name and at least one state, its states and tables are tuples, its labels
@@ -189,8 +191,9 @@ class MealyMachine:
                         f"sums to {Fraction(total, den)}"
                     )
 
+    # `type` rather than `isinstance` for indices too: a bool is not one.
     def state_index(self, state: int | str) -> int:
-        if isinstance(state, int):
+        if type(state) is int:
             if not 0 <= state < len(self.states):
                 raise ValueError(f"state index out of range: {state}")
             return state
@@ -200,7 +203,7 @@ class MealyMachine:
             raise ValueError(f"unknown state label: {state!r}") from None
 
     def input_index(self, inp: int | str) -> int:
-        if isinstance(inp, int):
+        if type(inp) is int:
             if not 0 <= inp < len(self.inputs):
                 raise ValueError(f"input index out of range: {inp}")
             return inp
@@ -277,8 +280,10 @@ def step(
 ) -> tuple[int, int]:
     """One machine step: emit the output and sample the successor.
 
-    Returns (output, next state index).  With a seeded rng, runs replay
-    identically.
+    Returns (output, next state index).  One `rng.random()` draw r picks
+    the first successor whose cumulative weight exceeds r, compared
+    exactly in integers over the row's common denominator; the weights
+    stay exact `Fraction`s.  With a seeded rng, runs replay identically.
     """
     s, i = m.state_index(state), m.input_index(inp)
     row = m.transitions[s][i]
@@ -287,11 +292,14 @@ def step(
             f"no transition defined at ({m.states[s]}, {m.inputs[i]})"
         )
     out = m.outputs[s][i]
-    r = rng.random()
-    acc = Fraction(0)
+    # r = a / b exactly, and the running sum is acc / den, so `r < sum`,
+    # which Fraction compares exactly, is `a * den < acc * b` in integers.
+    a, b = rng.random().as_integer_ratio()
+    den = math.lcm(*(p.denominator for _, p in row))
+    acc = 0
     for t, p in row:
-        acc += p
-        if r < acc:
+        acc += p.numerator * (den // p.denominator)
+        if a * den < acc * b:
             return out, t
     return out, row[-1][0]
 
@@ -306,14 +314,22 @@ class Transcript:
     end_state: str
 
     def __post_init__(self) -> None:
+        # Only what a machine emits: tuples (so a transcript hashes), outputs
+        # the integer 1 or -1, and an exact positive weight.
+        if not isinstance(self.inputs, tuple) or not isinstance(self.outputs, tuple):
+            raise ValueError("transcript inputs and outputs must be tuples")
         if len(self.inputs) != len(self.outputs):
             raise ValueError("inputs/outputs length mismatch")
-        if self.probability <= 0:
-            raise ValueError("transcript probability must be positive")
+        for v in self.outputs:
+            if type(v) is not int or v not in (1, -1):
+                raise ValueError(f"not a +/-1 outcome: {v!r}")
+        p = self.probability
+        if type(p) is not Fraction or p.numerator <= 0:
+            raise ValueError("transcript probability must be a positive Fraction")
 
 
 def enumerate_transcripts(
-    m: MealyMachine, start: int | str, seq: Sequence[str]
+    m: MealyMachine, start: int | str, seq: Iterable[str]
 ) -> tuple[Transcript, ...]:
     """All positive-probability output/state paths for an input sequence.
 
@@ -324,6 +340,7 @@ def enumerate_transcripts(
     dropped, so the probabilities may sum to less than 1; on total machines
     they sum to exactly 1.  Sorted by outputs, then end state index.
     """
+    seq = tuple(seq)
     s0 = m.state_index(start)
     idx_seq = [m.input_index(o) for o in seq]
     runs: dict[tuple[tuple[int, ...], int], Fraction] = {((), s0): Fraction(1)}
@@ -338,6 +355,6 @@ def enumerate_transcripts(
                 advanced[outputs, t] = advanced.get((outputs, t), 0) + prob * p
         runs = advanced
     return tuple(
-        Transcript(tuple(seq), outputs, prob, m.states[s])
+        Transcript(seq, outputs, prob, m.states[s])
         for (outputs, s), prob in sorted(runs.items())
     )

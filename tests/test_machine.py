@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from pmtoy.machine import (
     uniform_row,
 )
 from pmtoy.toy import spekkens_machine
-from pmtoy.verify import FAMILIES
+from pmtoy.verify import FAMILIES, verify_machine
 
 
 def _tiny_machine(**overrides):
@@ -205,6 +206,24 @@ def test_state_and_input_lookup_errors():
     assert m.input_index("Z1") == 0
 
 
+BOOL_INDEX_CALLS = {
+    "step-state": lambda m: step(m, True, 0, random.Random(0)),
+    "step-input": lambda m: step(m, 0, False, random.Random(0)),
+    "enumerate-start": lambda m: enumerate_transcripts(m, True, ["Z1"]),
+    "enumerate-input": lambda m: enumerate_transcripts(m, 0, [False]),
+    "successors": lambda m: m.successors(True, 0),
+    "output": lambda m: m.output(0, False),
+    "verify-starts": lambda m: verify_machine(m, 2, starts=[True]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BOOL_INDEX_CALLS))
+def test_a_bool_is_not_a_state_or_input_index(call):
+    # Accepted, True ran as state 1 and False as input Z1.
+    with pytest.raises(ValueError, match="unknown"):
+        BOOL_INDEX_CALLS[call](spekkens_machine())
+
+
 def test_step_replays_identically_with_same_seed():
     m = spekkens_machine()
     seq = ["Z1", "X1X2", "Z1X2", "Y1Y2", "Z2"] * 3
@@ -238,6 +257,30 @@ def test_empty_sequence_gives_identity_transcript():
     m = spekkens_machine()
     ts = enumerate_transcripts(m, "++++", [])
     assert ts == (Transcript((), (), Fraction(1), "++++"),)
+
+
+@pytest.mark.parametrize(
+    "inputs, outputs, probability, message",
+    [
+        (["Z1"], (1,), Fraction(1), "must be tuples"),
+        (("Z1",), [1], Fraction(1), "must be tuples"),
+        (("Z1",), (5,), Fraction(1), r"not a \+/-1 outcome: 5"),
+        (("Z1", "X1"), (1, True), Fraction(1), r"not a \+/-1 outcome: True"),
+        (("Z1",), (-1.0,), Fraction(1), r"not a \+/-1 outcome: -1.0"),
+        (("Z1",), (1,), 0.5, "positive Fraction"),
+        (("Z1",), (1,), 1, "positive Fraction"),
+        (("Z1",), (1,), Fraction(0), "positive Fraction"),
+        (("Z1",), (1,), Fraction(-1, 2), "positive Fraction"),
+    ],
+    ids=[
+        "inputs-list", "outputs-list", "output-5", "output-bool", "output-float",
+        "weight-float", "weight-int", "weight-zero", "weight-negative",
+    ],
+)
+def test_transcript_holds_only_what_a_machine_emits(inputs, outputs, probability, message):
+    # Accepted, a list made a frozen transcript unhashable.
+    with pytest.raises(ValueError, match=message):
+        Transcript(inputs, outputs, probability, "e")
 
 
 def test_spekkens_first_output_constant_across_branches():
@@ -278,6 +321,14 @@ def test_partial_machine_transcripts_drop_dead_branches():
     ts = enumerate_transcripts(m, "a", ["Z1Z2", "X1Z2"])
     assert len(ts) == 1
     assert ts[0].end_state == "a"
+
+
+def test_enumeration_reads_a_one_pass_sequence_once():
+    # A generator was read for the indices and again, empty, per transcript.
+    m = spekkens_machine()
+    ts = enumerate_transcripts(m, 0, (x for x in ["Z1", "X1"]))
+    assert ts == enumerate_transcripts(m, 0, ("Z1", "X1"))
+    assert all(t.inputs is ts[0].inputs for t in ts)
 
 
 def _reference_transcripts(m, start, seq):
@@ -358,6 +409,48 @@ def test_enumeration_matches_the_path_by_path_reference(name):
         got = enumerate_transcripts(m, start, seq)
         assert got == _reference_transcripts(m, start, seq), (start, seq)
         assert all(type(t.probability) is Fraction for t in got)
+
+
+def _reference_step(m, s, i, r):
+    # The draw `step` replaced, kept as its reference: the first successor
+    # whose running Fraction sum exceeds the float r, compared exactly.
+    row = m.transitions[s][i]
+    acc = Fraction(0)
+    for t, p in row:
+        acc += p
+        if r < acc:
+            return m.outputs[s][i], t
+    return m.outputs[s][i], row[-1][0]
+
+
+class _FixedRandom:
+    # Returns r on every draw and counts the draws.
+    def __init__(self, r):
+        self.r, self.calls = r, 0
+
+    def random(self):
+        self.calls += 1
+        return self.r
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MACHINES))
+def test_step_draws_what_the_fraction_loop_draws(name):
+    m = REFERENCE_MACHINES[name]()
+    seeded = random.Random(name)
+    for s, srow in enumerate(m.transitions):
+        for i, row in enumerate(srow):
+            if not row:
+                continue
+            draws = [0.0, 1 - 2**-53] + [seeded.random() for _ in range(4)]
+            acc = Fraction(0)
+            for _, p in row:
+                acc += p
+                # A float above or below the boundary, and one ulp lower.
+                draws += [float(acc), math.nextafter(float(acc), 0)]
+            for r in draws:
+                rng = _FixedRandom(r)
+                assert step(m, s, i, rng) == _reference_step(m, s, i, r), (s, i, r)
+                assert rng.calls == 1, "one draw per step, one-successor rows too"
 
 
 # sha256 of to_json() for every builtin, variant and family, recorded at
