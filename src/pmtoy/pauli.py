@@ -1,4 +1,4 @@
-"""Exact two-qubit Pauli algebra and the Peres-Mermin square.
+"""Two-qubit Pauli words, the Peres-Mermin square, and its exact quantum oracle.
 
 This module is the quantum-mechanical ground truth for everything else:
 the nine PM observables as Pauli words (`OBSERVABLES`, the one place
@@ -13,8 +13,8 @@ There is one quantum oracle, and it is exact: `measure_knowledge` and
 (observable, value) pairs; with `PRESCRIBED_SIGN` the rule is sequential
 projective measurement (the Lueders rule) from the maximally mixed state,
 and with every context sign +1 (`toy.TOY_SIGN`) it is Spekkens' toy
-model.  `qm_outcome_tree` walks the same rule into a tree with float
-branch weights; it exists for the benchmark's `oracle-trees` workload.
+model.  `qm_outcome_tree` and `tree_transcripts` are thin names over
+`knowledge_runs`, left for the benchmark's `oracle-trees` workload.
 No matrix is built anywhere in the package.
 """
 
@@ -158,47 +158,19 @@ def knowledge_runs(
     return {outs: w for outs, (w, _) in runs.items()}
 
 
-@dataclass(frozen=True)
-class OutcomeBranch:
-    outcome: int
-    probability: float
-    node: "OutcomeNode"
-
-
-@dataclass(frozen=True)
-class OutcomeNode:
-    """A node of a sequential-measurement tree: its outcome splits."""
-
-    branches: tuple[OutcomeBranch, ...]
-
-
-def qm_outcome_tree(seq: Sequence[str]) -> OutcomeNode:
-    """The runs of `knowledge_runs(seq)` as a tree, branch weights as floats (1.0 or 0.5)."""
+def qm_outcome_tree(seq: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
+    """`knowledge_runs(seq)` for a non-empty `seq`; kept for the benchmark's `oracle-trees`."""
     if len(seq) == 0:
         raise ValueError("measurement sequence must be non-empty")
-
-    def build(k: Knowledge, remaining: Sequence[str]) -> OutcomeNode:
-        if not remaining:
-            return OutcomeNode(())
-        branches = measure_knowledge(k, remaining[0])
-        return OutcomeNode(tuple(
-            OutcomeBranch(v, float(p), build(nxt, remaining[1:])) for v, p, nxt in branches
-        ))
-
-    return build(frozenset(), seq)
+    return knowledge_runs(seq)
 
 
-def tree_transcripts(root: OutcomeNode) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Yield (outcome sequence, probability) for every branch of the tree."""
-
-    def walk(node: OutcomeNode, outcomes: tuple[int, ...], prob: float):
-        if not node.branches:
-            yield outcomes, prob
-            return
-        for br in node.branches:
-            yield from walk(br.node, outcomes + (br.outcome,), prob * br.probability)
-
-    yield from walk(root, (), 1.0)
+def tree_transcripts(
+    runs: Mapping[tuple[int, ...], Fraction]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Yield (outcome sequence, weight as a float) for every run."""
+    for outs, w in runs.items():
+        yield outs, float(w)
 
 
 def context_products(values: Sequence[int]) -> dict[str, int]:

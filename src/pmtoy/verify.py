@@ -49,7 +49,7 @@ from .extension import (
     ext_value,
     variant_machine,
 )
-from .machine import MealyMachine, Transcript, deterministic_row
+from .machine import MealyMachine, Transcript, deterministic_row, enumerate_transcripts
 from .toy import ALL_ONTIC, apply_flips, ontic_machine
 
 REPEATABILITY = "repeatability"
@@ -249,15 +249,13 @@ def _steps(m: MealyMachine) -> tuple[list[list[int]], list[int]]:
     return codes, [sum(1 << c for c in row) for row in codes]
 
 
-def verify_machine(
-    m: MealyMachine, depth: int, starts: Sequence[int | str] | None = None
-) -> VerificationReport:
-    """Certify every input sequence of length <= depth from every start.
+def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
+    """Certify every input sequence of length <= depth from every state.
 
     Walks machine x reduced monitor (`_compiled(True)`) breadth-first from
-    the start keys, so witnesses are depth-minimal.  A product key is one
-    int, mu * n + s for monitor state mu and machine state s of n, and one
-    step is one table lookup.  Each level is the raw walk's with repeated
+    one start key per machine state, so witnesses are depth-minimal.  A
+    product key is one int, mu * n + s for monitor state mu and machine
+    state s of n, and one step is one table lookup.  Each level is the raw walk's with repeated
     classes dropped, in order, so the report is the raw walk's (2 528 keys
     for `extended32`, 4 928 raw).  Undefined transitions of partial machines
     end the branch.  `parent` maps each reached key to the key and input it
@@ -269,7 +267,7 @@ def verify_machine(
     one of the 36 orderings of the 6 contexts with its sign fixed, so no
     machine has more than 18 + 36 = 54.
     """
-    if depth < 1:
+    if type(depth) is not int or depth < 1:
         raise ValueError("depth must be >= 1")
     t0 = time.perf_counter()
     out = m.outputs
@@ -280,15 +278,8 @@ def verify_machine(
         [(i, codes[s][i], [t for t, _ in r]) for i, r in enumerate(row)]
         for s, row in enumerate(m.transitions)
     ]
-    if starts is None:
-        start_indices = range(n)
-    else:
-        start_indices = [m.state_index(s) for s in starts]
-        if not start_indices:
-            raise ValueError("starts must name at least one state")
     # Monitor state 0 is the empty one, so a start key is its machine state.
-    parent: dict[int, tuple[int, int] | None] = {s: None for s in start_indices}
-    n_starts = len(parent)
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(range(n))
     level = list(parent)
 
     found: dict[tuple, Violation] = {}
@@ -340,8 +331,8 @@ def verify_machine(
             key=lambda v: (len(v.sequence), v.kind, v.sequence, v.positions),
         )
     )
-    # n * (9 + 9^2 + ... + 9^depth) for n distinct starts, in closed form.
-    total = n_starts * 9 * (9**depth - 1) // 8
+    # n * (9 + 9^2 + ... + 9^depth) for n start states, in closed form.
+    total = n * 9 * (9**depth - 1) // 8
     return VerificationReport(
         machine=m.name,
         depth=depth,
@@ -353,25 +344,23 @@ def verify_machine(
 
 
 _BOTTOM_TO_TOP = ("Y1Y2", "X1X2", "Z1Z2")
-_REFUTE_DEPTH = 4
 
 
 def refute_variant(kind: str) -> Violation:
     """Concrete refutation of one of the two rejected constructions.
 
-    Verifies the variant from the all-plus contradiction-in-column state
-    and returns the bottom-to-top column-3 witness Y1Y2, X1X2, Z1Z2 ->
-    (+1, +1, +1).  Raises if it is not found within the depth bound, which
-    would mean the variant construction regressed.
+    Replays the bottom-to-top column-3 run Y1Y2, X1X2, Z1Z2 on the variant
+    from the all-plus contradiction-in-column state and returns the first
+    context-product breach, the witness (+1, +1, +1).  Raises if every
+    run keeps (C), which would mean the variant construction regressed.
     """
     m = variant_machine(kind)
-    report = verify_machine(m, _REFUTE_DEPTH, starts=[ALIASES["a"].label])
-    for v in report.violations:
-        if v.kind == CONTEXT_PRODUCT and v.sequence == _BOTTOM_TO_TOP:
-            return v
-    raise RuntimeError(
-        f"variant {kind!r} produced no column-3 refutation within depth {_REFUTE_DEPTH}"
-    )
+    start = ALIASES["a"].label
+    for t in enumerate_transcripts(m, start, _BOTTOM_TO_TOP):
+        for v in check_transcript(t, start):
+            if v.kind == CONTEXT_PRODUCT:
+                return v
+    raise RuntimeError(f"variant {kind!r} keeps (C) on {', '.join(_BOTTOM_TO_TOP)}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +481,11 @@ def search_machines(
     then `_CTX_SEARCH_ORDER`.  `budget` caps the number of search nodes;
     if it runs out the outcome reports exhausted=False.
     """
-    if depth < 1:
+    if type(depth) is not int or depth < 1:
         raise ValueError("depth must be >= 1")
-    if budget < 1:
+    if type(budget) is not int or budget < 1:
         raise ValueError("budget must be >= 1")
-    if max_machines < 0:
+    if type(max_machines) is not int or max_machines < 0:
         raise ValueError("max_machines must be >= 0")
     if not family.is_total:
         raise ValueError(f"family {family.name!r} has an undefined transition")

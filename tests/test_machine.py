@@ -27,7 +27,7 @@ from pmtoy.machine import (
     uniform_row,
 )
 from pmtoy.toy import spekkens_machine
-from pmtoy.verify import FAMILIES, verify_machine
+from pmtoy.verify import FAMILIES
 
 
 def _tiny_machine(**overrides):
@@ -213,7 +213,6 @@ BOOL_INDEX_CALLS = {
     "enumerate-input": lambda m: enumerate_transcripts(m, 0, [False]),
     "successors": lambda m: m.successors(True, 0),
     "output": lambda m: m.output(0, False),
-    "verify-starts": lambda m: verify_machine(m, 2, starts=[True]),
 }
 
 

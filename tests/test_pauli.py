@@ -1,4 +1,4 @@
-"""Operator algebra, PM square structure, outcome trees, and the parity scan."""
+"""The PM square, the knowledge rule checked against the matrix reference, and the parity scan."""
 
 import itertools
 from collections import Counter
@@ -134,27 +134,14 @@ def test_context_product_signs():
 
 
 def test_outcome_tree_single_measurement_on_mixed_state():
-    root = qm_outcome_tree(["Z1"])
-    assert len(root.branches) == 2
-    for br in root.branches:
-        assert br.probability == pytest.approx(0.5, abs=1e-12)
+    assert qm_outcome_tree(["Z1"]) == {(1,): 0.5, (-1,): 0.5}
 
 
 def test_outcome_tree_branch_probabilities_sum_to_one():
-    root = qm_outcome_tree(["Z1Z2", "X1X2", "Z1", "Y1Y2"])
-
-    def walk(node):
-        if not node.branches:
-            return
-        assert sum(b.probability for b in node.branches) == pytest.approx(
-            1.0, abs=1e-12
-        )
-        for b in node.branches:
-            walk(b.node)
-
-    walk(root)
-    total = sum(p for _, p in tree_transcripts(root))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    # The weights are dyadic, so the float sum is exact.
+    runs = qm_outcome_tree(["Z1Z2", "X1X2", "Z1", "Y1Y2"])
+    assert sum(runs.values()) == 1
+    assert sum(p for _, p in tree_transcripts(runs)) == 1.0
 
 
 def test_outcome_tree_last_column_product_is_minus_one():
@@ -221,6 +208,14 @@ def test_knowledge_rule_is_the_lueders_rule_on_every_reachable_state():
                 p, post = lueders[v]
                 assert w == p
                 assert np.array_equal(post, _density(nxt)), (k, name, v)
+
+
+def test_knowledge_rule_weights_sum_to_one_on_every_reachable_state():
+    states = _reachable_knowledge(PRESCRIBED_SIGN)
+    assert len(states) == 43
+    for k in states:
+        for name in OBSERVABLE_NAMES:
+            assert sum(w for _, w, _ in measure_knowledge(k, name)) == 1, (k, name)
 
 
 def test_knowledge_runs_equal_the_float_oracle():

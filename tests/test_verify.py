@@ -125,9 +125,6 @@ def test_sequences_checked_closed_form():
     for depth in range(1, 8):
         report = verify_machine(four_state_machine(), depth)
         assert report.sequences_checked == 4 * sum(9**d for d in range(1, depth + 1))
-    # A repeated start is one root of the BFS: 9 + 81 + 729 sequences, not 3x that.
-    starts = ["++++/col", "++++/col", 0]
-    assert verify_machine(extended_machine(), 3, starts=starts).sequences_checked == 819
 
 
 def test_report_renders_counts_past_the_int_digit_limit():
@@ -198,12 +195,6 @@ def test_verify_rejects_bad_arguments():
     m = spekkens_machine()
     with pytest.raises(ValueError):
         verify_machine(m, 0)
-
-
-def test_verify_rejects_an_empty_start_list():
-    # No start checks no sequence, so the machine used to pass vacuously.
-    with pytest.raises(ValueError, match="at least one state"):
-        verify_machine(spekkens_machine(), 3, starts=[])
 
 
 def test_verify_partial_machine_skips_undefined_continuations():
@@ -373,6 +364,30 @@ def test_search_rejects_a_budget_below_one_and_negative_max_machines():
     # max_machines=0 still counts completions, keeping none.
     outcome = search_machines(family_paper4(), 4, max_machines=0)
     assert (outcome.completions, outcome.machines, outcome.exhausted) == (1, (), True)
+
+
+NON_INT_COUNT_CALLS = {
+    "verify-depth": (lambda x: verify_machine(four_state_machine(), x), "depth must be >= 1"),
+    "search-depth": (lambda x: search_machines(family_paper4(), x), "depth must be >= 1"),
+    "search-budget": (
+        lambda x: search_machines(family_paper4(), 4, budget=x),
+        "budget must be >= 1",
+    ),
+    "search-max-machines": (
+        lambda x: search_machines(family_paper4(), 4, max_machines=x),
+        "max_machines must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("call", sorted(NON_INT_COUNT_CALLS))
+def test_a_bool_or_float_is_no_depth_budget_or_machine_cap(call, value):
+    # Accepted, True ran as 1 and a report said "depth": true; a depth of
+    # 2.0 raised TypeError from range.
+    run, message = NON_INT_COUNT_CALLS[call]
+    with pytest.raises(ValueError, match=message):
+        run(value)
 
 
 def test_builtin_machines_are_families():
@@ -753,7 +768,7 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
     return breaches, moves
 
 
-def _raw_verify_machine(m, depth, starts=None):
+def _raw_verify_machine(m, depth):
     """`verify_machine` on the raw product keys, its second-last step always kept.
 
     The reference for the reduced walk: the loop as it stood before keys
@@ -764,16 +779,9 @@ def _raw_verify_machine(m, depth, starts=None):
     t0 = time.perf_counter()
     out = m.outputs
     breaches, moves = _monitor(m)
-    if starts is None:
-        start_indices = range(len(m.states))
-    else:
-        start_indices = [m.state_index(s) for s in starts]
-        if not start_indices:
-            raise ValueError("starts must name at least one state")
     parent: dict[_Key, tuple[_Key, int] | None] = {
-        (s, 0, 0, 0, 0): None for s in start_indices
+        (s, 0, 0, 0, 0): None for s in range(len(m.states))
     }
-    n_starts = len(parent)
     level = list(parent)
 
     found: dict[tuple, Violation] = {}
@@ -823,8 +831,8 @@ def _raw_verify_machine(m, depth, starts=None):
             key=lambda v: (len(v.sequence), v.kind, v.sequence, v.positions),
         )
     )
-    # n * (9 + 9^2 + ... + 9^depth) for n distinct starts, in closed form.
-    total = n_starts * 9 * (9**depth - 1) // 8
+    # n * (9 + 9^2 + ... + 9^depth) for n start states, in closed form.
+    total = len(m.states) * 9 * (9**depth - 1) // 8
     return VerificationReport(
         machine=m.name,
         depth=depth,
@@ -857,15 +865,12 @@ def _small_ontic_machines(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(m=_small_ontic_machines(), depth=st.integers(min_value=1, max_value=6), data=st.data())
-def test_reduced_walk_reports_what_the_raw_walk_reports(m, depth, data):
+@given(m=_small_ontic_machines(), depth=st.integers(min_value=1, max_value=6))
+def test_reduced_walk_reports_what_the_raw_walk_reports(m, depth):
     # Merged keys breach alike now and after every continuation, and the
     # reduced levels are the raw ones with repeated classes dropped, so the
     # first witness of every violation, and the report, are the same.
-    starts = data.draw(st.none() | st.lists(st.sampled_from(m.states), min_size=1))
-    reports = [
-        walk(m, depth, starts).to_dict() for walk in (verify_machine, _raw_verify_machine)
-    ]
+    reports = [walk(m, depth).to_dict() for walk in (verify_machine, _raw_verify_machine)]
     for report in reports:
         del report["elapsed_ms"]
     assert reports[0] == reports[1]
