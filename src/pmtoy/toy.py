@@ -21,6 +21,7 @@ labelled ontic states, a value rule and a successor rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
@@ -105,8 +106,10 @@ ALL_ONTIC: tuple[OnticState, ...] = tuple(
 )
 
 
+@functools.cache
 def observable_value(s: OnticState, name: str) -> Sign:
     """The product of the one-toy-bit values along the observable's Pauli word."""
+    # Cached: 16 states x 9 names, read by every machine and variant build.
     if name not in pauli.OBSERVABLES:
         raise ValueError(f"not a PM observable: {name!r}")
     word = pauli.OBSERVABLES[name]

@@ -55,8 +55,8 @@ from .toy import ALL_ONTIC, apply_flips, ontic_machine
 REPEATABILITY = "repeatability"
 CONTEXT_PRODUCT = "context_product"
 
-# Python's default limit on int -> str conversion, in decimal digits.
-_INT_STR_DIGITS = 4300
+# The least int past Python's default int -> str limit of 4 300 digits.
+_INT_STR_LIMIT = 10**4300
 
 
 def json_int(n: int) -> int | str:
@@ -65,7 +65,7 @@ def json_int(n: int) -> int | str:
     Either form renders with `json.dumps` and `str`, and reads back with
     `json.loads`, under Python's default int -> str digit limit.
     """
-    if abs(n) < 10**_INT_STR_DIGITS:
+    if abs(n) < _INT_STR_LIMIT:
         return n
     import decimal  # here, not at the top: only counts past the limit need it
 
@@ -197,6 +197,9 @@ _STEP_BIT = [0] + [1 << i for i in range(len(_NAMES)) for _ in (+1, -1)]
 # per state.
 _CODES = len(_STEP_BIT)
 _BREACH = -1
+# verify_machine's parent entries for a start key and a key not yet reached.
+_START = -1
+_UNREACHED = -2
 
 
 @functools.cache
@@ -255,12 +258,20 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     Walks machine x reduced monitor (`_compiled(True)`) breadth-first from
     one start key per machine state, so witnesses are depth-minimal.  A
     product key is one int, mu * n + s for monitor state mu and machine
-    state s of n, and one step is one table lookup.  Each level is the raw walk's with repeated
-    classes dropped, in order, so the report is the raw walk's (2 528 keys
-    for `extended32`, 4 928 raw).  Undefined transitions of partial machines
-    end the branch.  `parent` maps each reached key to the key and input it
-    was first reached from, None at a start; each breach is re-checked by
-    `check_transcript`'s rules on the witness run it leads back to.
+    state s of n, and one step is one table lookup.  Each level is the raw
+    walk's with repeated classes dropped, in order, so the report is the
+    raw walk's (2 528 keys for `extended32`, 4 928 raw).  Undefined
+    transitions of partial machines end the branch.
+
+    parent[key], one flat list per call, is key' * 9 + i for the key' and
+    input i that first reached key, _START at a start and _UNREACHED
+    before: O(monitor states x n) entries, 739 x 32 = 23 648 for
+    `extended32` and about 355 k for a 480-state machine.  A breach is
+    re-checked by `check_transcript`'s rules on the witness run it leads
+    back to, once per breaching slot (mu, step code).  This is exact:
+    every earlier step of the run passed, so each violation ends at the
+    breach, and its key below is fixed by the step code and by the
+    pending value (R) or the last two steps (C) that mu holds.
     Violations are deduplicated by (kind, observables at the breach,
     expected, observed), and every distinct one is reported: a
     repeatability key is one of 9 observables and 2 outcomes, a context key
@@ -272,22 +283,24 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     t0 = time.perf_counter()
     out = m.outputs
     nxt, bad, _ = _compiled(True)
-    n = len(m.states)
+    n, k = len(m.states), len(_NAMES)
     codes, code_mask = _steps(m)
     moves = [
         [(i, codes[s][i], [t for t, _ in r]) for i, r in enumerate(row)]
         for s, row in enumerate(m.transitions)
     ]
+    parent = [_UNREACHED] * (len(bad) * n)
     # Monitor state 0 is the empty one, so a start key is its machine state.
-    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(range(n))
-    level = list(parent)
+    parent[:n] = [_START] * n
+    level = list(range(n))
 
     found: dict[tuple, Violation] = {}
+    checked: set[int] = set()  # breaching slots mu * _CODES + code, re-checked
 
     def witness(key: int, i: int) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
         run = [(key % n, i)]
-        while parent[key]:
-            key, i = parent[key]
+        while parent[key] >= 0:
+            key, i = divmod(parent[key], k)
             run.append((key % n, i))
         seq = tuple(_NAMES[i] for _, i in reversed(run))
         return m.states[key % n], seq, tuple(out[s][i] for s, i in reversed(run))
@@ -303,6 +316,9 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
             for i, code, ts in moves[s]:
                 step = nxt[row + code]
                 if step == _BREACH:
+                    if row + code in checked:
+                        continue
+                    checked.add(row + code)
                     start_label, seq, outs = witness(key, i)
                     for vio in _check_run(seq, outs, start_label):
                         dedup = (
@@ -317,8 +333,8 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
                     step *= n
                     for t in ts:
                         nkey = step + t
-                        if nkey not in parent:
-                            parent[nkey] = (key, i)
+                        if parent[nkey] == _UNREACHED:
+                            parent[nkey] = key * k + i
                             new.append(nkey)
         level = new
         if not level:
@@ -474,12 +490,14 @@ def search_machines(
     Assigning a pair wakes its waiters and propagates breadth-first, a key
     reached again at a smaller depth expanding again; the branch dies as
     soon as a reached key breaches (R) or (C), and an undo trail restores
-    the keys.  Keys carry no depth, so the graph saturates and a large L
-    costs what a small one does.  The search branches on the most recently
-    waited-on pair; each key waits on its inputs least preferred first,
-    preferring those distinct from and compatible with its last input,
-    then `_CTX_SEARCH_ORDER`.  `budget` caps the number of search nodes;
-    if it runs out the outcome reports exhausted=False.
+    the keys.  `best`, one flat list per call of 1 477 x n entries, holds
+    each key's least depth, L if unreached.  Keys carry no depth, so the
+    graph saturates and a large L costs what a small one does.  The search
+    branches on the most recently waited-on pair; each key waits on its
+    inputs least preferred first, preferring those distinct from and
+    compatible with its last input, then `_CTX_SEARCH_ORDER`.  `budget`
+    caps the number of search nodes; if it runs out the outcome reports
+    exhausted=False.
     """
     if type(depth) is not int or depth < 1:
         raise ValueError("depth must be >= 1")
@@ -495,19 +513,19 @@ def search_machines(
     moves = [[[t for t, _ in r] for r in row] for row in family.transitions]
 
     table = [[-1] * k for _ in range(n)]  # successor per (state, input), -1 unassigned
-    best: dict[int, int] = {}  # least depth of each reached key
-    trail: list[tuple[int, int | None]] = []  # (key, its previous depth), for undo
+    best = [depth] * (len(bad) * n)  # least depth of each key, depth if unreached
+    trail: list[tuple[int, int]] = []  # (key, its previous depth), for undo
     # Per machine state, its keys below depth L - 1: the waiters on its pairs.
     expanding: list[list[int]] = [[] for _ in range(n)]
     waited: list[tuple[int, int]] = []  # pairs in the order keys waited on them
     queue: collections.deque[int] = collections.deque()
 
     def reach(key: int, d: int) -> bool:
-        old = best.get(key)
-        if old is not None and old <= d:
+        old = best[key]
+        if old <= d:
             return True
         mu, s = divmod(key, n)
-        if old is None and bad[mu] & code_mask[s]:
+        if old == depth and bad[mu] & code_mask[s]:
             return False
         trail.append((key, old))
         best[key] = d
@@ -516,27 +534,25 @@ def search_machines(
             queue.append(key)
         return True
 
-    def succ(key: int, i: int, t: int) -> int:
-        mu, s = divmod(key, n)
-        return nxt[mu * _CODES + codes[s][i]] * n + t
-
     def propagate() -> bool:
         while queue:
             key = queue.popleft()
             mu, s = divmod(key, n)
             d = best[key] + 1
+            row, code, succ = mu * _CODES, codes[s], table[s]
             for i in _REGISTER[last[mu]]:
-                t = table[s][i]
+                t = succ[i]
                 if t < 0:
                     waited.append((s, i))
-                elif not reach(succ(key, i, t), d):
+                elif not reach(nxt[row + code[i]] * n + t, d):
                     return False
         return True
 
     def assign(s: int, i: int, t: int) -> bool:
         table[s][i] = t
+        code = codes[s][i]
         for key in expanding[s][:]:
-            if not reach(succ(key, i, t), best[key] + 1):
+            if not reach(nxt[key // n * _CODES + code] * n + t, best[key] + 1):
                 return False
         return propagate()
 
@@ -547,10 +563,7 @@ def search_machines(
             key, old = trail.pop()
             if best[key] < depth - 1:
                 expanding[key % n].pop()
-            if old is None:
-                del best[key]
-            else:
-                best[key] = old
+            best[key] = old
 
     machines: list[MealyMachine] = []
     completions = 0

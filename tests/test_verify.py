@@ -332,6 +332,24 @@ def test_search_finds_the_skeleton_in_the_bit2_family(depth):
     )
 
 
+@pytest.mark.parametrize(
+    "build, depth, counts",
+    [
+        (family_paper4, 6, (101, 1, True)),
+        (family_all32_bit2, 5, (913, 1, True)),
+        (family_cplus16, 3, (9, 0, True)),
+        (family_cplus16, 6, (9, 0, True)),
+    ],
+    ids=["paper4-depth6", "all32-bit2-depth5", "cplus16-depth3", "cplus16-depth6"],
+)
+def test_search_node_counts_past_depth_four(build, depth, counts):
+    # The golden reports pin depth 4 only.  Deeper searches undo more keys
+    # reached at several depths, so a key not restored to unreached, or to
+    # the wrong depth, moves these counts.
+    outcome = search_machines(build(), depth)
+    assert (outcome.nodes, outcome.completions, outcome.exhausted) == counts
+
+
 def test_search_budget_exhaustion_is_reported():
     outcome = search_machines(family_all32_bit2(), 4, budget=5)
     assert not outcome.exhausted
@@ -876,19 +894,80 @@ def test_reduced_walk_reports_what_the_raw_walk_reports(m, depth):
     assert reports[0] == reports[1]
 
 
+def _all_moves_machine() -> MealyMachine:
+    """The 32 extended states, each move uniform over every value-preserving successor."""
+    from pmtoy.extension import ALL_EXT, ext_value
+
+    def moves(s, o):
+        return tuple(t for t in ALL_EXT if ext_value(t, o) == ext_value(s, o))
+
+    return ontic_machine("all-moves", {s.label: s for s in ALL_EXT}, ext_value, moves)
+
+
+def _either_output_breaches_machine() -> MealyMachine:
+    """Three extended states on which Y1Y2 breaches in one slot with both outputs.
+
+    From -++-/col, Y1Y2, X1X2, X1X2, Z1Z2 leaves Y1Y2 pending at +1 while
+    the last column's sign asks -1 of it: output -1 breaches (R), output +1
+    (C).  A re-check keyed by the input, not the step code, loses one.
+    """
+    from pmtoy.extension import ALL_EXT, ext_value
+
+    row, col, other = "--+-/row", "-++-/col", "+---/col"
+    moves = {
+        (row, "X1X2"): (col,),
+        (col, "Z1Z2"): (col, other),
+        (col, "X1X2"): (col,),
+        (col, "Y1Y2"): (row,),
+    }
+    states = {s.label: s for s in ALL_EXT if s.label in (row, col, other)}
+    return ontic_machine(
+        "either-output",
+        states,
+        ext_value,
+        lambda s, o: tuple(states[t] for t in moves.get((s.label, o), ())),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, depth",
+    [
+        (spekkens_machine, 3),
+        (spekkens_machine, 6),
+        (lambda: variant_machine("single_trigger"), 4),
+        (lambda: variant_machine("same_destination"), 4),
+        (_all_moves_machine, 3),
+        (_either_output_breaches_machine, 5),
+    ],
+    ids=[
+        "spekkens16-depth3",
+        "spekkens16-depth6",
+        "single_trigger-depth4",
+        "same_destination-depth4",
+        "all-moves-depth3",
+        "either-output-depth5",
+    ],
+)
+def test_one_recheck_per_breaching_slot_reports_what_the_raw_walk_reports(build, depth):
+    # These machines breach in the same (monitor state, step code) slot many
+    # times (spekkens16 at depth 6: 192 breaches in 48 slots), which the
+    # small machines drawn above rarely do.  The raw walk re-checks every
+    # breach, so skipping the repeats must lose no violation and change no
+    # first witness.
+    m = build()
+    reports = [walk(m, depth).to_dict() for walk in (verify_machine, _raw_verify_machine)]
+    for report in reports:
+        del report["elapsed_ms"]
+    assert reports[0] == reports[1]
+
+
 def test_violation_list_holds_every_one_of_the_54_keys():
     # A violation key is (kind, observables at the breach, expected,
     # observed): 9 observables x 2 outcomes for (R) and 6 contexts x 6
     # orders for (C), whose sign fixes both outcomes.  Every value-preserving
     # move over the 32 extended states reaches all of them, and the report
     # lists each one, with no note that anything was left out.
-    from pmtoy.extension import ALL_EXT, ext_value
-
-    def moves(s, o):
-        return tuple(t for t in ALL_EXT if ext_value(t, o) == ext_value(s, o))
-
-    m = ontic_machine("all-moves", {s.label: s for s in ALL_EXT}, ext_value, moves)
-    report = verify_machine(m, 3)
+    report = verify_machine(_all_moves_machine(), 3)
     assert collections.Counter(v.kind for v in report.violations) == {
         REPEATABILITY: 18,
         CONTEXT_PRODUCT: 36,
