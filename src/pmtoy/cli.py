@@ -173,7 +173,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for n, token in enumerate(tokens, start=1):
         before = m.states[state]
         try:
-            out, state = step(m, state, token, rng)
+            # The last output needs no transition, as in enumerate_transcripts:
+            # an undefined row there keeps the state, with no draw.
+            if n == len(tokens) and not m.successors(state, token):
+                out = m.output(state, token)
+            else:
+                out, state = step(m, state, token, rng)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         lines.append(

@@ -10,7 +10,10 @@ and family built here is uniform over its listed successors, from one
 state up to eight (cplus16), so weights such as 1/3 (all32-bit2) stay
 exact.  `step` samples a successor by comparing its float draw with the
 cumulative weights exactly, as integers over the row's common
-denominator.  Machines are immutable after construction and safe to share.
+denominator.  `enumerate_transcripts` weighs each run by an integer over
+one running denominator, the product of each step's common denominator,
+and gives each transcript one reduced `Fraction`.  Machines are immutable
+after construction and safe to share.
 
 Structural invariants are enforced at build time: a machine has a string
 name and at least one state, its states and tables are tuples, its labels
@@ -339,22 +342,38 @@ def enumerate_transcripts(
     partial machine, branches that hit an undefined transition earlier are
     dropped, so the probabilities may sum to less than 1; on total machines
     they sum to exactly 1.  Sorted by outputs, then end state index.
+
+    Weights are exact integers: at each step, the rows of the states the
+    runs are in are put over their common denominator, each run's integer
+    weight is multiplied by its successor's numerator over it, and the
+    running denominator by it.  Each transcript holds one reduced
+    `Fraction`, built at the end; its `inputs` are the observable names,
+    one tuple shared by every transcript.
     """
-    seq = tuple(seq)
     s0 = m.state_index(start)
     idx_seq = [m.input_index(o) for o in seq]
-    runs: dict[tuple[tuple[int, ...], int], Fraction] = {((), s0): Fraction(1)}
+    inputs = tuple(m.inputs[i] for i in idx_seq)
+    # Each run's weight is an integer over the shared denominator `den`.
+    runs: dict[tuple[tuple[int, ...], int], int] = {((), s0): 1}
+    den = 1
     for pos, i in enumerate(idx_seq, 1):
-        advanced: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for (outputs, s), prob in runs.items():
+        last = pos == len(idx_seq)
+        rows = {
+            s: m.transitions[s][i] or (deterministic_row(s) if last else ()) for _, s in runs
+        }
+        # This step's weights, as integers over their common denominator d.
+        d = math.lcm(*(p.denominator for row in rows.values() for _, p in row))
+        moves = {
+            s: [(t, p.numerator * (d // p.denominator)) for t, p in row] for s, row in rows.items()
+        }
+        advanced: dict[tuple[tuple[int, ...], int], int] = {}
+        for (outputs, s), w in runs.items():
             outputs += (m.outputs[s][i],)
-            row = m.transitions[s][i]
-            if not row and pos == len(idx_seq):
-                row = ((s, Fraction(1)),)
-            for t, p in row:
-                advanced[outputs, t] = advanced.get((outputs, t), 0) + prob * p
+            for t, q in moves[s]:
+                advanced[outputs, t] = advanced.get((outputs, t), 0) + w * q
         runs = advanced
+        den *= d
     return tuple(
-        Transcript(seq, outputs, prob, m.states[s])
-        for (outputs, s), prob in sorted(runs.items())
+        Transcript(inputs, outputs, Fraction(w, den), m.states[s])
+        for (outputs, s), w in sorted(runs.items())
     )

@@ -12,6 +12,7 @@ import pytest
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
 from pmtoy.cli import main
 from pmtoy.extension import four_state_machine
+from pmtoy.machine import enumerate_transcripts
 from pmtoy.toy import spekkens_machine
 
 
@@ -361,6 +362,22 @@ def test_simulate_unknown_observable_exit_two(capsys):
         assert code == 2
         assert "Q7" in err
         assert out == ""
+
+
+def test_simulate_needs_no_transition_for_the_last_output(capsys):
+    # paper4 has no X1X2 row at b: the last output is printed and b kept,
+    # the one transcript enumerate_transcripts gives.
+    argv = ("simulate", "--machine", "paper4", "--start", "a", "--seed", "1", "--seq")
+    code, out, _ = run_cli(capsys, *argv, "Z1Z2,X1X2")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["step 2: X1X2  output -1  b -> b", "final state: b"]
+    (t,) = enumerate_transcripts(four_state_machine(), "a", ["Z1Z2", "X1X2"])
+    assert (t.outputs, t.end_state) == ((1, -1), "b")
+    # Before the last token, an undefined row still exits 2.
+    code, out, err = run_cli(capsys, *argv, "Z1Z2,X1X2,Z1")
+    assert code == 2
+    assert "no transition defined at (b, X1X2)" in err
+    assert out == ""
 
 
 def test_dump_spekkens_matches_figure(capsys):

@@ -27,7 +27,7 @@ from pmtoy.machine import (
     uniform_row,
 )
 from pmtoy.toy import spekkens_machine
-from pmtoy.verify import FAMILIES
+from pmtoy.verify import FAMILIES, check_transcript
 
 
 def _tiny_machine(**overrides):
@@ -330,6 +330,25 @@ def test_enumeration_reads_a_one_pass_sequence_once():
     assert all(t.inputs is ts[0].inputs for t in ts)
 
 
+def test_transcript_inputs_are_names_when_indices_are_given():
+    # The indices themselves leaked into `inputs`, which check_transcript
+    # then refused as "not a PM observable: 0".
+    m = spekkens_machine()
+    ts = enumerate_transcripts(m, 0, [0, 4])
+    assert ts == enumerate_transcripts(m, 0, ["Z1", "X1"])
+    assert ts[0].inputs == ("Z1", "X1")
+    assert all(t.inputs is ts[0].inputs for t in ts)
+    assert all(check_transcript(t) == [] for t in ts)
+
+
+def test_a_long_stochastic_run_reduces_to_exact_quarters():
+    # The running denominator reaches 2**1000; each transcript reduces it.
+    m = spekkens_machine()
+    ts = enumerate_transcripts(m, 0, ["Z1", "Z2"] * 500)
+    assert len(ts) == 4
+    assert all(type(t.probability) is Fraction and t.probability == Fraction(1, 4) for t in ts)
+
+
 def _reference_transcripts(m, start, seq):
     # Literal reference: every path of m from start, one call per path, with
     # equal (outputs, end state) merged only at the end of each path.
@@ -408,6 +427,40 @@ def test_enumeration_matches_the_path_by_path_reference(name):
         got = enumerate_transcripts(m, start, seq)
         assert got == _reference_transcripts(m, start, seq), (start, seq)
         assert all(type(t.probability) is Fraction for t in got)
+
+
+def _seeded_walk(m, start, seq, rng):
+    # A `step` walk; an undefined last row keeps the state with no draw, as
+    # in enumerate_transcripts.  None if an earlier row is undefined.
+    s, outputs = start, []
+    for pos, obs in enumerate(seq, 1):
+        if m.successors(s, obs):
+            out, s = step(m, s, obs, rng)
+        elif pos == len(seq):
+            out = m.output(s, obs)
+        else:
+            return None
+        outputs.append(out)
+    return tuple(outputs), m.states[s]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MACHINES))
+def test_a_seeded_walk_is_one_of_the_transcripts(name):
+    m = REFERENCE_MACHINES[name]()
+    rng = random.Random(name)
+    checked = 0
+    for _ in range(500):
+        start = rng.randrange(len(m.states))
+        seq = [rng.choice(m.inputs) for _ in range(rng.randint(1, 6))]
+        walk = _seeded_walk(m, start, seq, rng)
+        if walk is None:
+            continue
+        ends = {(t.outputs, t.end_state) for t in enumerate_transcripts(m, start, seq)}
+        assert walk in ends, (start, seq)
+        checked += 1
+        if checked == 8:
+            break
+    assert checked == 8
 
 
 def _reference_step(m, s, i, r):
