@@ -15,7 +15,7 @@ not sufficient.  From ++++/col, `extended32` emits Z1, Z2, X1X2, Z1Z2 ->
 `pauli.knowledge_runs` gives it probability 0: Z1Z2 is fixed by the
 earlier Z1 and Z2 outcomes and commutes with X1X2.
 
-`check_transcript` applies the constraints literally to one run.  All
+`check_transcript` applies the constraints directly to one run.  All
 other verdicts walk one product graph, machine x (R)+(C) monitor.  The
 monitor holds exactly what the constraints can ever look at, the pending
 repeatable values and the last two steps, so walking the graph is
@@ -106,38 +106,34 @@ def _check_run(
     for v in outs:
         if v not in (+1, -1):
             raise ValueError(f"not a +/-1 outcome: {v!r}")
-    n = len(ins)
     violations: list[Violation] = []
-    for p in range(n):
-        for q in range(p + 1, n):
-            if ins[q] != ins[p]:
-                continue
-            if all(ins[m] in pauli.COMMUTING[ins[p]] for m in range(p + 1, q)):
-                if outs[q] != outs[p]:
-                    violations.append(
-                        Violation(
-                            REPEATABILITY, start, ins, outs, (p, q), outs[p], outs[q]
-                        )
-                    )
-    for k in range(n - 2):
-        triple = (ins[k], ins[k + 1], ins[k + 2])
-        if len(set(triple)) != 3:
-            continue
-        sign = pauli.CONTEXT_SETS.get(frozenset(triple))
-        if sign is None:
-            continue
-        prod = outs[k] * outs[k + 1] * outs[k + 2]
-        if prod != sign:
-            violations.append(
-                Violation(
-                    CONTEXT_PRODUCT, start, ins, outs, (k, k + 1, k + 2), sign, prod
+    # (R): from each step p, scan forward to the first input incompatible
+    # with ins[p]; every equal input on the way must repeat its output.
+    for p, a in enumerate(ins):
+        keep = pauli.COMMUTING[a]
+        for q in range(p + 1, len(ins)):
+            if ins[q] == a and outs[q] != outs[p]:
+                violations.append(
+                    Violation(REPEATABILITY, start, ins, outs, (p, q), outs[p], outs[q])
                 )
-            )
+            if ins[q] not in keep:
+                break
+    # (C): every context has three members, so a window that repeats an
+    # input is no key of CONTEXT_SETS.  A product of three +/-1 outputs
+    # that misses the sign is -sign.
+    for k in range(len(ins) - 2):
+        sign = pauli.CONTEXT_SETS.get(frozenset(ins[k : k + 3]))
+        if sign is not None and outs[k] * outs[k + 1] * outs[k + 2] != sign:
+            pos = (k, k + 1, k + 2)
+            violations.append(Violation(CONTEXT_PRODUCT, start, ins, outs, pos, sign, -sign))
     return violations
 
 
 def check_transcript(t: Transcript, start: str | None = None) -> list[Violation]:
-    """All (R) and (C) breaches in one transcript."""
+    """All (R) and (C) breaches in one transcript: (R) by (p, q), then (C) by window.
+
+    The cost is at worst quadratic in run length, as the number of breaches can be.
+    """
     return _check_run(t.inputs, t.outputs, start)
 
 

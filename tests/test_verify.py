@@ -99,6 +99,86 @@ def test_check_transcript_rejects_outputs_other_than_plus_minus_one():
             check_transcript(_t(inputs, outputs))
 
 
+def _literal_check_run(ins, outs):
+    """(R) and (C) as the definitions read: the reference for `_check_run`.
+
+    A pair of equal inputs is checked when every input between them is
+    compatible, re-scanned pair by pair; a window is a context when its
+    three inputs are distinct and form one.
+    """
+    ins, outs = tuple(ins), tuple(outs)
+    n = len(ins)
+    violations = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            if ins[q] != ins[p]:
+                continue
+            if all(ins[m] in pauli.COMMUTING[ins[p]] for m in range(p + 1, q)):
+                if outs[q] != outs[p]:
+                    violations.append(
+                        Violation(REPEATABILITY, None, ins, outs, (p, q), outs[p], outs[q])
+                    )
+    for k in range(n - 2):
+        triple = (ins[k], ins[k + 1], ins[k + 2])
+        if len(set(triple)) != 3:
+            continue
+        sign = pauli.CONTEXT_SETS.get(frozenset(triple))
+        if sign is None:
+            continue
+        prod = outs[k] * outs[k + 1] * outs[k + 2]
+        if prod != sign:
+            violations.append(
+                Violation(CONTEXT_PRODUCT, None, ins, outs, (k, k + 1, k + 2), sign, prod)
+            )
+    return violations
+
+
+def _same_report(ins, outs):
+    got = [v.to_dict() for v in _check_run(ins, outs)]
+    assert got == [v.to_dict() for v in _literal_check_run(ins, outs)], (ins, outs)
+
+
+def test_check_run_matches_the_literal_checks_on_every_short_run():
+    runs = 0
+    for n in range(4):
+        for ins in itertools.product(_NAMES, repeat=n):
+            for outs in itertools.product((+1, -1), repeat=n):
+                _same_report(ins, outs)
+                runs += 1
+    assert runs == 6175
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_check_run_matches_the_literal_checks_on_long_runs(data):
+    # Inputs from a few names repeat often and form long compatible chains.
+    names = data.draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=9, unique=True))
+    steps = data.draw(
+        st.lists(st.tuples(st.sampled_from(names), st.sampled_from((+1, -1))), max_size=14)
+    )
+    _same_report([nm for nm, _ in steps], [v for _, v in steps])
+
+
+def test_check_run_on_a_1500_step_run_with_one_flipped_output():
+    # Z1, Z1Z2 and Z2 commute pairwise, so every repeat is checked: the
+    # flipped Z1 at step 750 breaches (R) against each of the 499 other
+    # Z1 steps, and (C) in the three windows of row 1 that hold it.
+    seq = ("Z1", "Z1Z2", "Z2") * 500
+    outs = [+1] * len(seq)
+    outs[750] = -1
+    vs = _check_run(seq, outs)
+    rep = [v.positions for v in vs if v.kind == REPEATABILITY]
+    ctx = [v.positions for v in vs if v.kind == CONTEXT_PRODUCT]
+    assert rep == [(p, 750) for p in range(0, 750, 3)] + [(750, q) for q in range(753, 1500, 3)]
+    assert ctx == [(748, 749, 750), (749, 750, 751), (750, 751, 752)]
+
+
+def test_the_four_1000_step_spekkens_transcripts_check_clean():
+    ts = enumerate_transcripts(spekkens_machine(), 0, ["Z1", "Z2"] * 500)
+    assert len(ts) == 4
+    assert all(check_transcript(t) == [] for t in ts)
+
+
 def test_gate_passes_an_interleaved_context_the_exact_oracle_forbids():
     # Z1 commutes with Z1Z2, so the Z1Z2 outcome is still in force when
     # X1X2 and Y1Y2 complete column 3 with product +1; no three
