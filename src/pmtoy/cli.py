@@ -10,38 +10,23 @@ Exit codes are stable across commands: 0 pass, 1 violations found,
 goes to the --output path when one is given, else to stdout.  Reports with
 the same command and configuration (for `simulate`, the same seed) are
 byte-identical except for the elapsed-time field.
+
+Each subcommand imports only what it runs, when it runs it: `ks-scan`
+loads `pauli` alone, and only `verify` and `search` load the verifier.
+Annotations are never evaluated, so they name classes imported later.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
-import random
 import sys
 
-from . import pauli
-from .extension import ALIASES, extended_machine, four_state_machine
-from .machine import MealyMachine, step
-from .toy import compact, spekkens_machine
-from .verify import (
-    FAMILIES,
-    SearchOutcome,
-    VerificationReport,
-    json_int,
-    search_machines,
-    verify_machine,
-)
-
-_BUILDERS = {
-    "spekkens16": spekkens_machine,
-    "extended32": extended_machine,
-    "extended32-randomized": lambda: extended_machine(randomized=True),
-    "paper4": four_state_machine,
-}
-BUILTIN_MACHINES = tuple(_BUILDERS)
+# Each builtin's name is its machine's `name`; `build_machine` builds them.
+BUILTIN_MACHINES = ("spekkens16", "extended32", "extended32-randomized", "paper4")
+# The keys of `verify.FAMILIES`, written here so that `--help` needs no verifier.
+_FAMILY_NAMES = ("paper4", "cplus16", "all32-bit2")
 # By depth 6 the product BFS of every builtin is done; a larger bound only
 # grows the closed-form sequence count, whose decimal digits cost quadratic time.
 MAX_DEPTH = 100_000
@@ -53,13 +38,21 @@ class UsageError(Exception):
 
 def build_machine(selector: str) -> MealyMachine:
     """A builtin machine by name, or a machine over the nine PM observables from its JSON file."""
-    if selector in _BUILDERS:
-        return _BUILDERS[selector]()
+    if selector in BUILTIN_MACHINES:
+        from . import extension, toy
+
+        if selector == "spekkens16":
+            return toy.spekkens_machine()
+        if selector == "paper4":
+            return extension.four_state_machine()
+        return extension.extended_machine(randomized=selector == "extended32-randomized")
     if not os.path.exists(selector):
         raise UsageError(
             f"unknown machine {selector!r}; expected one of {', '.join(BUILTIN_MACHINES)} "
             "or a machine JSON file"
         )
+    from .machine import MealyMachine
+
     try:
         with open(selector) as f:
             data = json.load(f)
@@ -85,6 +78,9 @@ def _json(data: dict) -> str:
 
 
 def _report_csv(report: VerificationReport) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -106,6 +102,8 @@ def _report_csv(report: VerificationReport) -> str:
 
 
 def _report_text(report: VerificationReport) -> str:
+    from .verify import json_int
+
     lines = [
         f"machine: {report.machine}",
         f"depth: {report.depth}",
@@ -126,6 +124,8 @@ def _report_text(report: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import VerificationReport, verify_machine
+
     m = build_machine(args.machine)
     report = verify_machine(m, args.depth)
     render = {"json": VerificationReport.to_json, "csv": _report_csv, "text": _report_text}
@@ -134,6 +134,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ks_scan(args: argparse.Namespace) -> int:
+    from . import pauli
+
     summary = pauli.ks_scan_summary()
     if args.format == "json":
         text = _json(summary)
@@ -157,12 +159,18 @@ def cmd_ks_scan(args: argparse.Namespace) -> int:
 def _resolve_start(m: MealyMachine, start: str) -> int:
     if start in m.states:
         return m.states.index(start)
+    from .extension import ALIASES
+
     if start in ALIASES and ALIASES[start].label in m.states:
         return m.states.index(ALIASES[start].label)
     raise UsageError(f"unknown start state {start!r} for machine {m.name}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import random
+
+    from .machine import step
+
     m = build_machine(args.machine)
     tokens = [t.strip() for t in args.seq.split(",") if t.strip()]
     if not tokens:
@@ -190,6 +198,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _dump_dict(m: MealyMachine) -> dict:
+    from . import pauli, toy
+    from .extension import ALIASES
+
     states = []
     for label, row in zip(m.states, m.outputs):
         products = pauli.context_products(row)
@@ -197,7 +208,7 @@ def _dump_dict(m: MealyMachine) -> dict:
             {
                 "label": label,
                 "alias": next((a for a, st in ALIASES.items() if st.label == label), None),
-                "table": compact(row),
+                "table": toy.compact(row),
                 "context_products": products,
                 "qm_deviation": [
                     ctx for ctx, sign in pauli.PRESCRIBED_SIGN.items() if products[ctx] != sign
@@ -224,6 +235,8 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .verify import FAMILIES, search_machines
+
     if args.family not in FAMILIES:
         raise UsageError(
             f"unknown family {args.family!r}; expected one of {', '.join(FAMILIES)}"
@@ -287,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search completions of a candidate family")
     p.set_defaults(handler=cmd_search)
-    p.add_argument("--family", required=True, help=", ".join(FAMILIES))
+    p.add_argument("--family", required=True, help=", ".join(_FAMILY_NAMES))
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--budget", type=int, default=200_000)
     add_common(p, ["json", "text"], "json")

@@ -22,24 +22,22 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
 
 
-@dataclass(frozen=True)
-class PauliWord:
+class PauliWord(NamedTuple("PauliWord", [("factor1", str), ("factor2", str)])):
     """A two-qubit Pauli product; factor1 is the high-order (left) tensor factor."""
 
-    factor1: str
-    factor2: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in (self.factor1, self.factor2):
+    def __new__(cls, factor1: str, factor2: str) -> PauliWord:
+        for f in (factor1, factor2):
             if f not in PAULI_LETTERS:
                 raise ValueError(f"not a Pauli letter: {f!r}")
+        return super().__new__(cls, factor1, factor2)
 
     def __str__(self) -> str:
         return self.factor1 + self.factor2

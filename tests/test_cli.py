@@ -10,10 +10,12 @@ import sys
 import pytest
 
 from pm_figures import DIAGRAM_TABLES, FIGURE_16, FIGURE_32_RIGHT
+from pmtoy import cli
 from pmtoy.cli import main
 from pmtoy.extension import four_state_machine
 from pmtoy.machine import enumerate_transcripts
 from pmtoy.toy import spekkens_machine
+from pmtoy.verify import FAMILIES
 
 
 def run_cli(capsys, *args):
@@ -462,6 +464,13 @@ def test_deep_search_stops_at_the_budget_and_finds_the_depth_four_machine(capsys
         reports[depth] = json.loads(out)
     assert reports["100000"]["completions"] == reports["4"]["completions"] == 1
     assert reports["100000"]["machines"] == reports["4"]["machines"]
+
+
+def test_builtin_and_family_names_are_pinned():
+    # `cli` writes both lists of names down without importing their builders.
+    for name in cli.BUILTIN_MACHINES:
+        assert cli.build_machine(name).name == name
+    assert cli._FAMILY_NAMES == tuple(FAMILIES)
 
 
 def test_search_unknown_family_exit_two(capsys):

@@ -1,8 +1,9 @@
-"""pmtoy runs without numpy, and compiles a monitor table only where it is walked.
+"""pmtoy runs without numpy, compiles a monitor table only where it is walked,
+and each `pmtoy` subcommand imports only the modules it runs.
 
 numpy is a test dependency only: the package builds no matrix.  Each
 test runs in a fresh interpreter, because this test process has already
-imported numpy and compiled the tables.
+imported numpy and every pmtoy module, and compiled the tables.
 """
 
 import json
@@ -122,3 +123,41 @@ def test_monitor_tables_are_compiled_only_by_the_commands_that_walk_them():
     sizes, reduced_was_compiled = json.loads(run_fresh(script))
     assert sizes == [0, 0, 0, 0, 1, 2]
     assert reduced_was_compiled
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    # One interpreter runs the commands in order of growing footprint and
+    # lists, after each, the pmtoy modules and the costly stdlib ones loaded
+    # since start-up.
+    stages = [
+        ["ks-scan", "--format", "json"],
+        ["simulate", "--machine", "extended32", "--start", "a",
+         "--seq", "Z1Z2,X1X2,Y1Y2", "--seed", "11"],
+        ["dump", "--machine", "extended32", "--format", "json"],
+        ["verify", "--machine", "extended32", "--depth", "3", "--format", "json"],
+        ["verify", "--machine", "extended32", "--depth", "3", "--format", "text"],
+        ["search", "--family", "paper4", "--depth", "3"],
+        ["verify", "--machine", "extended32", "--depth", "3", "--format", "csv"],
+    ]
+    script = f"""
+        import contextlib, io, json, sys
+        baseline = set(sys.modules)
+
+        def loaded():
+            new = set(sys.modules) - baseline
+            return sorted(m for m in new if m.partition(".")[0] in ("pmtoy", "csv", "dataclasses"))
+
+        import pmtoy.cli
+        seen = [loaded()]
+        for argv in {stages!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert pmtoy.cli.main(argv) in (0, 1), argv
+            seen.append(loaded())
+        print(json.dumps(seen))
+    """
+    seen = [set(mods) for mods in json.loads(run_fresh(script))]
+    cli = {"pmtoy", "pmtoy.cli"}
+    scan = cli | {"pmtoy.pauli"}
+    machines = scan | {"pmtoy.machine", "pmtoy.toy", "pmtoy.extension", "dataclasses"}
+    verifier = machines | {"pmtoy.verify"}
+    assert seen == [cli, scan, machines, machines, verifier, verifier, verifier, verifier | {"csv"}]

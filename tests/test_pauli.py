@@ -53,6 +53,22 @@ def test_last_column_operator_identity():
     assert np.allclose(zz @ xx @ yy, -np.eye(4), atol=1e-12)
 
 
+def test_pauli_word_is_an_immutable_checked_pair_of_letters():
+    word = PauliWord("Z", "X")
+    assert (word.factor1, word.factor2) == ("Z", "X")
+    assert str(word) == "ZX"
+    assert repr(word) == "PauliWord(factor1='Z', factor2='X')"
+    assert PauliWord(factor1="Z", factor2="X") == word
+    assert hash(PauliWord("Z", "X")) == hash(word)
+    assert len({word, PauliWord("Z", "X"), PauliWord("X", "Z")}) == 2
+    for field in ("factor1", "factor2", "label"):
+        with pytest.raises(AttributeError):
+            setattr(word, field, "I")
+    for letters in (("Q", "I"), ("Z", ""), ("I", "z")):
+        with pytest.raises(ValueError, match="not a Pauli letter"):
+            PauliWord(*letters)
+
+
 def test_commutes_examples():
     assert commutes(PauliWord("Z", "Z"), PauliWord("X", "X"))
     assert not commutes(PauliWord("Z", "I"), PauliWord("X", "I"))
