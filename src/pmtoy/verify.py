@@ -20,15 +20,14 @@ other verdicts walk one product graph, machine x (R)+(C) monitor.  The
 monitor holds exactly what the constraints can ever look at, the pending
 repeatable values and the last two steps, so walking the graph is
 equivalent to enumerating all 9^L sequences.  It is a fixed finite
-automaton, compiled on first use into a transition table (`_compiled`):
-739 states for the reduced monitor, 1 477 for the raw one.  A product key
-is one int, and one step of either walk is one table lookup.
-`verify_machine` walks machine x reduced monitor breadth-first from every
-start state of one machine.  `search_machines` walks machine x raw monitor
-depth-first over the deterministic sub-machines of a family, a machine
-whose transition at (s, o) lists the moves a completion may pick,
-branching on a transition that a reached product state needs next and
-pruning as soon as one breaches (R) or (C).
+automaton, compiled on first use into one transition table of 739
+states (`_compiled`).  A product key is one int, and one step of either
+walk is one table lookup.  `verify_machine` walks the product graph
+breadth-first from every start state of one machine.  `search_machines`
+walks it depth-first over the deterministic sub-machines of a family, a
+machine whose transition at (s, o) lists the moves a completion may
+pick, branching on a transition that a reached product state needs next
+and pruning as soon as one breaches (R) or (C).
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ _KEEP = [
 ]
 # _STEP_BIT[e]: the bit of the input that step code e measures, 0 for none.
 # After measuring input i, the last step e1 can still start a context only
-# if _STEP_BIT[e1] & _KEEP[i]; otherwise the reduced monitor forgets it.
+# if _STEP_BIT[e1] & _KEEP[i]; otherwise the monitor forgets it.
 _STEP_BIT = [0] + [1 << i for i in range(len(_NAMES)) for _ in (+1, -1)]
 # Step codes run from 1 to 18: a monitor table has a row of _CODES entries
 # per state.
@@ -199,7 +198,7 @@ _UNREACHED = -2
 
 
 @functools.cache
-def _compiled(reduced: bool) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _compiled() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The (R)+(C) monitor as a transition table (next, bad, last), built on first use.
 
     A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
@@ -208,11 +207,12 @@ def _compiled(reduced: bool) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
     reachable from (0, 0, 0, 0) are numbered breadth-first from 0.
     next[mu * _CODES + c] is the state after step code c at mu, or _BREACH
     if the step breaches (R) or (C); bad[mu] has bit c set for those steps,
-    and last[mu] is mu's e1.  The raw monitor has 1 477 states.  The reduced
-    one forgets e2 unless `_STEP_BIT[e1] & _KEEP[i]`: e2 is read only
-    through `_THIRD`, which needs e2 and e1 to measure distinct compatible
-    inputs, so merged states breach alike now and after every continuation.
-    Its 739 states are the least monitor that reports the same violations.
+    and last[mu] is mu's e1.  The monitor forgets e2 unless
+    `_STEP_BIT[e1] & _KEEP[i]`: e2 is read only through `_THIRD`, which
+    needs e2 and e1 to measure distinct compatible inputs, so merged states
+    breach alike now and after every continuation.  Its 739 states (1 477
+    if e2 were always kept) are the least monitor that reports the same
+    violations.
     """
     states = [(0, 0, 0, 0)]
     number = {states[0]: 0}
@@ -233,7 +233,7 @@ def _compiled(reduced: bool) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
                 bad[-1] |= 1 << code
                 nxt.append(_BREACH)
                 continue
-            e2_next = e1 if not reduced or _STEP_BIT[e1] & keep else 0
+            e2_next = e1 if _STEP_BIT[e1] & keep else 0
             state = ((K & keep) | bit, (V & keep) | neg, e2_next, code)
             nxt.append(number.setdefault(state, len(number)))
             if len(number) > len(states):
@@ -251,13 +251,13 @@ def _steps(m: MealyMachine) -> tuple[list[list[int]], list[int]]:
 def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     """Certify every input sequence of length <= depth from every state.
 
-    Walks machine x reduced monitor (`_compiled(True)`) breadth-first from
-    one start key per machine state, so witnesses are depth-minimal.  A
-    product key is one int, mu * n + s for monitor state mu and machine
-    state s of n, and one step is one table lookup.  Each level is the raw
-    walk's with repeated classes dropped, in order, so the report is the
-    raw walk's (2 528 keys for `extended32`, 4 928 raw).  Undefined
-    transitions of partial machines end the branch.
+    Walks machine x monitor (`_compiled()`) breadth-first from one start
+    key per machine state, so witnesses are depth-minimal.  A product key
+    is one int, mu * n + s for monitor state mu and machine state s of n,
+    and one step is one table lookup.  Each level is the one a monitor
+    keeping every e2 would give with repeated classes dropped, in order, so
+    the report is the same (2 528 keys for `extended32`, 4 928 with every
+    e2 kept).  Undefined transitions of partial machines end the branch.
 
     parent[key], one flat list per call, is key' * 9 + i for the key' and
     input i that first reached key, _START at a start and _UNREACHED
@@ -278,7 +278,7 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
         raise ValueError("depth must be >= 1")
     t0 = time.perf_counter()
     out = m.outputs
-    nxt, bad, _ = _compiled(True)
+    nxt, bad, _ = _compiled()
     n, k = len(m.states), len(_NAMES)
     codes, code_mask = _steps(m)
     moves = [
@@ -474,19 +474,16 @@ def search_machines(
     A family with an undefined transition, a budget below 1 or a negative
     max_machines raises ValueError.
 
-    Depth-first over transition tables on machine x raw monitor
-    (`_compiled(False)`), keys mu * n + s as in `verify_machine`: the
-    family's moves give each (state, input) pair its domain, and a
-    completion assigns each pair one successor.  The raw monitor keeps the
-    printed node counts: on reduced keys, paper4 at depth 4 takes 80 nodes,
-    not 75, and all32-bit2 777, not 921, for the same completions.
+    Depth-first over transition tables on `verify_machine`'s product
+    graph, keys mu * n + s: the family's moves give each (state, input)
+    pair its domain, and a completion assigns each pair one successor.
     Each product key reached from some start under the partial table keeps
     the least depth it is reached at, and a key below depth L - 1 whose
     next step needs an unassigned (state, input) pair waits on it.
     Assigning a pair wakes its waiters and propagates breadth-first, a key
     reached again at a smaller depth expanding again; the branch dies as
     soon as a reached key breaches (R) or (C), and an undo trail restores
-    the keys.  `best`, one flat list per call of 1 477 x n entries, holds
+    the keys.  `best`, one flat list per call of 739 x n entries, holds
     each key's least depth, L if unreached.  Keys carry no depth, so the
     graph saturates and a large L costs what a small one does.  The search
     branches on the most recently waited-on pair; each key waits on its
@@ -504,7 +501,7 @@ def search_machines(
     if not family.is_total:
         raise ValueError(f"family {family.name!r} has an undefined transition")
     n, k = len(family.states), len(_NAMES)
-    nxt, bad, last = _compiled(False)
+    nxt, bad, last = _compiled()
     codes, code_mask = _steps(family)
     moves = [[[t for t, _ in r] for r in row] for row in family.transitions]
 

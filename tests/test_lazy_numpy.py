@@ -1,4 +1,4 @@
-"""pmtoy runs without numpy, compiles a monitor table only where it is walked,
+"""pmtoy runs without numpy, compiles its monitor table only where it is walked,
 and each `pmtoy` subcommand imports only the modules it runs.
 
 numpy is a test dependency only: the package builds no matrix.  Each
@@ -96,8 +96,8 @@ def test_package_runs_with_numpy_blocked():
 
 
 def test_monitor_tables_are_compiled_only_by_the_commands_that_walk_them():
-    # Neither table is built at import: `ks-scan`, `simulate` and `dump`
-    # compile none, `verify` only the reduced one, `search` the raw one too.
+    # The table is not built at import: `ks-scan`, `simulate` and `dump`
+    # compile it never, `verify` once, and `search` after `verify` reuses it.
     script = """
         import contextlib, io, json
         from pmtoy.cli import main
@@ -106,23 +106,18 @@ def test_monitor_tables_are_compiled_only_by_the_commands_that_walk_them():
         def run(argv):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) in (0, 1), argv
-            return _compiled.cache_info().currsize
+            return _compiled.cache_info().misses
 
-        sizes = [_compiled.cache_info().currsize]
-        sizes += [run(["ks-scan", "--format", "json"])]
-        sizes += [run(["simulate", "--machine", "extended32", "--start", "a",
-                       "--seq", "Z1Z2,X1X2,Y1Y2", "--seed", "11"])]
-        sizes += [run(["dump", "--machine", "extended32"])]
-        sizes += [run(["verify", "--machine", "extended32", "--depth", "3"])]
-        misses = _compiled.cache_info().misses
-        _compiled(True)
-        reduced_was_compiled = _compiled.cache_info().misses == misses
-        sizes += [run(["search", "--family", "paper4", "--depth", "3"])]
-        print(json.dumps([sizes, reduced_was_compiled]))
+        compiles = [_compiled.cache_info().misses]
+        compiles += [run(["ks-scan", "--format", "json"])]
+        compiles += [run(["simulate", "--machine", "extended32", "--start", "a",
+                          "--seq", "Z1Z2,X1X2,Y1Y2", "--seed", "11"])]
+        compiles += [run(["dump", "--machine", "extended32"])]
+        compiles += [run(["verify", "--machine", "extended32", "--depth", "3"])]
+        compiles += [run(["search", "--family", "paper4", "--depth", "3"])]
+        print(json.dumps(compiles))
     """
-    sizes, reduced_was_compiled = json.loads(run_fresh(script))
-    assert sizes == [0, 0, 0, 0, 1, 2]
-    assert reduced_was_compiled
+    assert json.loads(run_fresh(script)) == [0, 0, 0, 0, 1, 1]
 
 
 def test_each_subcommand_imports_only_what_it_runs():

@@ -349,6 +349,39 @@ def test_search_rediscovers_the_diagram(depth):
     assert agreeing
 
 
+def _search_against_brute_force(family, depth):
+    """Check the search on a total family against `verify_machine` on every completion.
+
+    The completions and machines `search_machines` reports must be exactly
+    the completions that pass on their own.  Returns the number of
+    completions and the successor tables of those that pass.
+    """
+    outcome = search_machines(family, depth, max_machines=1_000)
+    assert outcome.exhausted
+    n, k = len(family.states), len(family.inputs)
+    domains = [[t for t, _ in r] for row in family.transitions for r in row]
+    tables = [
+        tuple(choice[s * k : (s + 1) * k] for s in range(n))
+        for choice in itertools.product(*domains)
+    ]
+    passing = set()
+    for table in tables:
+        m = MealyMachine(
+            name="candidate",
+            states=family.states,
+            outputs=family.outputs,
+            transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
+        )
+        if verify_machine(m, depth).passed:
+            passing.add(table)
+    found = {
+        tuple(tuple(r[0][0] for r in row) for row in m.transitions) for m in outcome.machines
+    }
+    assert outcome.completions == len(found) == len(passing)
+    assert found == passing
+    return len(tables), passing
+
+
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_search_completions_match_brute_force_verification(depth):
     # paper4's states with the diagram's transitions, every undrawn one a
@@ -369,27 +402,58 @@ def test_search_completions_match_brute_force_verification(depth):
         outputs=outputs,
         transitions=tuple(tuple(uniform_row(d) for d in row) for row in domains),
     )
-    outcome = search_machines(a_free, depth, max_machines=1_000)
-    assert outcome.exhausted
-    found = {
-        tuple(tuple(r[0][0] for r in row) for row in m.transitions) for m in outcome.machines
-    }
-    tables = [(row_a, *map(tuple, fixed[1:])) for row_a in itertools.product(*choices_a)]
-    passing = set()
-    for table in tables:
-        m = MealyMachine(
-            name="candidate",
-            states=family.states,
-            outputs=outputs,
-            transitions=tuple(tuple(deterministic_row(t) for t in row) for row in table),
-        )
-        if verify_machine(m, depth).passed:
-            passing.add(table)
-    assert len(tables) == 256
-    assert outcome.completions == len(found) == len(passing)
-    assert found == passing
+    total, passing = _search_against_brute_force(a_free, depth)
+    assert total == 256
     if depth == 3:
-        assert 0 < len(passing) < len(tables)
+        assert 0 < len(passing) < total
+
+
+@st.composite
+def _small_total_families(draw):
+    """A total family on 1-4 extended states with at most 64 completions.
+
+    The states are drawn from `ALL_EXT`, or are paper4's four.  There every
+    pair keeps its move in the drawn diagram, a self-loop where none is
+    drawn: that completion passes at every depth, so some completions pass
+    and others fail.  Each pair (state, input) gets a nonempty set of
+    value-preserving moves, the pairs taking their sizes in a drawn order
+    until the product of the set sizes would pass 64.
+    """
+    from pmtoy.extension import ALIASES, ALL_EXT, ext_value
+
+    if draw(st.booleans()):
+        chosen = list(ALIASES.values())
+        diagram = {(ALIASES[src], obs): ALIASES[dst] for src, obs, dst in DIAGRAM_EDGES}
+        kept = lambda s, o: [diagram.get((s, o), s)]
+    else:
+        chosen = draw(st.lists(st.sampled_from(ALL_EXT), min_size=1, max_size=4, unique=True))
+        kept = lambda s, o: []
+    pairs = draw(st.permutations([(s, o) for s in chosen for o in pauli.OBSERVABLE_NAMES]))
+    moves, total = {}, 1
+    for s, o in pairs:
+        base = kept(s, o)
+        options = [t for t in chosen if ext_value(t, o) == ext_value(s, o) and t not in base]
+        size = min(len(base) + len(options), 64 // total)
+        extra = st.lists(
+            st.sampled_from(options) if options else st.nothing(),
+            min_size=1 - len(base),
+            max_size=size - len(base),
+            unique=True,
+        )
+        moves[s, o] = base + draw(extra)
+        total *= len(moves[s, o])
+    return ontic_machine(
+        "random-family", {s.label: s for s in chosen}, ext_value, lambda s, o: moves[s, o]
+    )
+
+
+# Depths deepest first: hypothesis draws the first choice most often, and
+# at depth 2 every value-preserving completion passes.
+@settings(max_examples=100, deadline=None)
+@given(family=_small_total_families(), depth=st.sampled_from([5, 4, 3, 2]))
+def test_search_matches_brute_force_verification_on_random_families(family, depth):
+    total, _ = _search_against_brute_force(family, depth)
+    assert 1 <= total <= 64
 
 
 def test_search_certifies_cplus_only_nonexistence():
@@ -415,8 +479,8 @@ def test_search_finds_the_skeleton_in_the_bit2_family(depth):
 @pytest.mark.parametrize(
     "build, depth, counts",
     [
-        (family_paper4, 6, (101, 1, True)),
-        (family_all32_bit2, 5, (913, 1, True)),
+        (family_paper4, 6, (118, 1, True)),
+        (family_all32_bit2, 5, (993, 1, True)),
         (family_cplus16, 3, (9, 0, True)),
         (family_cplus16, 6, (9, 0, True)),
     ],
@@ -677,35 +741,57 @@ def test_dump_of_a_shuffled_file_is_the_builtin_dump(fmt, tmp_path, capsys):
     assert capsys.readouterr().out == builtin
 
 
-def _new_keys_per_level(m, reduced=False):
-    """New product keys after 1, 2, ... measurements, from every start.
+def _new_keys_per_level(starts, successors):
+    """New product keys after 1, 2, ... measurements from the start keys.
 
-    Breaching moves are not expanded, as in `verify_machine`; the last
-    count is the first 0.  The keys are the walkers' own, on the compiled
-    monitor tables: the raw table is the one `search_machines` walks, and
-    reduced=True the one `verify_machine` walks, which forgets e2 unless e1
-    can still start a context.
+    successors(key) lists the keys one non-breaching move leads to, so
+    breaching moves are not expanded, as in `verify_machine`; the last
+    count is the first 0.
     """
-    nxt, _, _ = _compiled(reduced)
-    n = len(m.states)
-    seen = set(range(n))
+    seen = set(starts)
     level, counts = list(seen), []
     while level:
         new = []
         for key in level:
-            mu, s = divmod(key, n)
-            for i, v in enumerate(m.outputs[s]):
-                step = nxt[mu * _CODES + _code(i, v)]
-                if step == _BREACH:
-                    continue
-                for t in m.successors(s, i):
-                    nkey = step * n + t
-                    if nkey not in seen:
-                        seen.add(nkey)
-                        new.append(nkey)
+            for nkey in successors(key):
+                if nkey not in seen:
+                    seen.add(nkey)
+                    new.append(nkey)
         level = new
         counts.append(len(new))
     return counts
+
+
+def _raw_keys_per_level(m):
+    """`_new_keys_per_level` on the raw keys of the reference `_monitor`."""
+    breaches, moves = _monitor(m)
+
+    def successors(key):
+        s, K, V, _, e1 = key
+        bad = breaches(key)
+        for bit, keep, neg, code, ts in moves[s]:
+            if not bad & bit:
+                yield from ((t, (K & keep) | bit, (V & keep) | neg, e1, code) for t in ts)
+
+    return _new_keys_per_level([(s, 0, 0, 0, 0) for s in range(len(m.states))], successors)
+
+
+def _compiled_keys_per_level(m):
+    """`_new_keys_per_level` on the walkers' own keys, on the compiled monitor.
+
+    It forgets e2 unless e1 can still start a context.
+    """
+    nxt, _, _ = _compiled()
+    n = len(m.states)
+
+    def successors(key):
+        mu, s = divmod(key, n)
+        for i, v in enumerate(m.outputs[s]):
+            step = nxt[mu * _CODES + _code(i, v)]
+            if step != _BREACH:
+                yield from (step * n + t for t in m.successors(s, i))
+
+    return _new_keys_per_level(range(n), successors)
 
 
 @pytest.mark.parametrize(
@@ -722,7 +808,7 @@ def test_product_graph_of_every_builtin_saturates_by_depth_six(name, counts):
     # from depth 6 on, `verify_machine` sees every key and every breach.
     from pmtoy.cli import build_machine
 
-    assert _new_keys_per_level(build_machine(name)) == counts
+    assert _raw_keys_per_level(build_machine(name)) == counts
 
 
 @pytest.mark.parametrize(
@@ -735,12 +821,12 @@ def test_product_graph_of_every_builtin_saturates_by_depth_six(name, counts):
     ],
 )
 def test_reduced_product_graph_of_every_builtin(name, counts):
-    # The graph `verify_machine` walks: a key keeps its second-last step
-    # only while that step can still start a context, so equivalent raw
-    # keys merge.  It saturates no later than the raw graph above.
+    # The graph both walkers walk: a key keeps its second-last step only
+    # while that step can still start a context, so equivalent raw keys
+    # merge.  It saturates no later than the raw graph above.
     from pmtoy.cli import build_machine
 
-    assert _new_keys_per_level(build_machine(name), reduced=True) == counts
+    assert _compiled_keys_per_level(build_machine(name)) == counts
 
 
 def _shortest_words(nxt):
@@ -780,15 +866,14 @@ def _classes(nxt, label):
         classes = refined
 
 
-@pytest.mark.parametrize("reduced, size", [(True, 739), (False, 1477)])
-def test_compiled_monitor_breaches_where_the_literal_checks_do(reduced, size):
+def test_compiled_monitor_breaches_where_the_literal_checks_do():
     # Every state is reached; each of its 18 steps is a breach exactly when
     # the literal checks report a violation at that step, after a shortest
     # word reaching the state.
-    nxt, bad, last = _compiled(reduced)
+    nxt, bad, last = _compiled()
     words = _shortest_words(nxt)
-    assert len(words) == len(bad) == len(last) == size
-    assert len(nxt) == size * _CODES
+    assert len(words) == len(bad) == len(last) == 739
+    assert len(nxt) == 739 * _CODES
     for mu, word in words.items():
         assert last[mu] == (word[-1] if word else 0)
         for code in range(1, _CODES):
@@ -797,13 +882,12 @@ def test_compiled_monitor_breaches_where_the_literal_checks_do(reduced, size):
             assert breach == bool(_last_step_violations(word + (code,))), (word, code)
 
 
-@pytest.mark.parametrize("reduced", [True, False])
-def test_no_smaller_monitor_reports_the_same_violations(reduced):
+def test_no_smaller_monitor_reports_the_same_violations():
     # Refining by the violations each step reports leaves 739 classes, the
-    # reduced monitor's states: it is the least monitor whose witnesses, and
-    # so whose reports, are the literal checks'.  By pass/fail alone 595
+    # compiled monitor's states: it is the least monitor whose witnesses,
+    # and so whose reports, are the literal checks'.  By pass/fail alone 595
     # classes remain, but such a quotient could report other witnesses.
-    nxt, _, _ = _compiled(reduced)
+    nxt, _, _ = _compiled()
     words = _shortest_words(nxt)
     steps = {
         mu: tuple(_last_step_violations(word + (c,)) for c in range(1, _CODES))
@@ -841,9 +925,8 @@ def _monitor(m: MealyMachine) -> tuple[Callable[[_Key], int], list[list[_Move]]]
     input i at state s, moves[s][i] = (bit, keep, neg, code, successors),
     takes key (s, K, V, e2, e1) to (t, (K & keep) | bit, (V & keep) | neg,
     e1, code) for each successor t; keep marks the inputs compatible with i.
-    `search_machines` walks these raw keys: its printed node counts depend
-    on them (on reduced keys, paper4 at depth 4 takes 80 nodes, not 75,
-    and all32-bit2 777, not 921, for the same completions).
+    These raw keys always keep e2, unlike the compiled monitor both walkers
+    use; they are the reference its 739 states are checked against.
     """
     out = m.outputs
     neg = [sum(1 << i for i, v in enumerate(row) if v < 0) for row in out]
