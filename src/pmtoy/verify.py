@@ -21,13 +21,14 @@ monitor holds exactly what the constraints can ever look at, the pending
 repeatable values and the last two steps, so walking the graph is
 equivalent to enumerating all 9^L sequences.  It is a fixed finite
 automaton, compiled on first use into one transition table of 739
-states (`_compiled`).  A product key is one int, and one step of either
-walk is one table lookup.  `verify_machine` walks the product graph
-breadth-first from every start state of one machine.  `search_machines`
-walks it depth-first over the deterministic sub-machines of a family, a
-machine whose transition at (s, o) lists the moves a completion may
-pick, branching on a transition that a reached product state needs next
-and pruning as soon as one breaches (R) or (C).
+states, a row per state (`_compiled`).  A product key is one int, and one
+step of either walk is one lookup in its monitor state's row.
+`verify_machine` walks the product graph breadth-first from every start
+state of one machine, expanding each (monitor state, successor set)
+once.  `search_machines` walks it depth-first over the deterministic
+sub-machines of a family, a machine whose transition at (s, o) lists the
+moves a completion may pick, branching on a transition that a reached
+product state needs next and pruning as soon as one breaches (R) or (C).
 """
 
 from __future__ import annotations
@@ -198,25 +199,25 @@ _UNREACHED = -2
 
 
 @functools.cache
-def _compiled() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _compiled() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """The (R)+(C) monitor as a transition table (next, bad, last), built on first use.
 
     A monitor state is (K, V, e2, e1): bit i of K marks a pending value for
     input i (the i-th of `pauli.OBSERVABLE_NAMES`) and bit i of V says it is
     -1; e2 and e1 are the last two step codes, 0 for none.  The states
     reachable from (0, 0, 0, 0) are numbered breadth-first from 0.
-    next[mu * _CODES + c] is the state after step code c at mu, or _BREACH
-    if the step breaches (R) or (C); bad[mu] has bit c set for those steps,
-    and last[mu] is mu's e1.  The monitor forgets e2 unless
-    `_STEP_BIT[e1] & _KEEP[i]`: e2 is read only through `_THIRD`, which
-    needs e2 and e1 to measure distinct compatible inputs, so merged states
-    breach alike now and after every continuation.  Its 739 states (1 477
-    if e2 were always kept) are the least monitor that reports the same
-    violations.
+    next[mu] is mu's row of _CODES entries: next[mu][c] is the state after
+    step code c at mu, or _BREACH if the step breaches (R) or (C); bad[mu]
+    has bit c set for those steps, and last[mu] is mu's e1.  The monitor
+    forgets e2 unless `_STEP_BIT[e1] & _KEEP[i]`: e2 is read only through
+    `_THIRD`, which needs e2 and e1 to measure distinct compatible inputs,
+    so merged states breach alike now and after every continuation.  Its
+    739 states (1 477 if e2 were always kept) are the least monitor that
+    reports the same violations.
     """
     states = [(0, 0, 0, 0)]
     number = {states[0]: 0}
-    nxt: list[int] = []
+    nxt: list[tuple[int, ...]] = []
     bad: list[int] = []
     # Per step code, in order: its input i and output v, i's bit in K, its
     # bit in V, and the inputs compatible with i.
@@ -226,18 +227,19 @@ def _compiled() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     ]
     for K, V, e2, e1 in states:  # appended to while walked: breadth-first
         ctx = _THIRD.get((e2, e1))
-        nxt.append(_BREACH)  # step code 0, never taken
+        row = [_BREACH]  # step code 0, never taken
         bad.append(0)
         for code, i, v, bit, neg, keep in steps:
             if (K & bit and (V & bit) != neg) or (ctx and ctx[0] == i and ctx[1] != v):
                 bad[-1] |= 1 << code
-                nxt.append(_BREACH)
+                row.append(_BREACH)
                 continue
             e2_next = e1 if _STEP_BIT[e1] & keep else 0
             state = ((K & keep) | bit, (V & keep) | neg, e2_next, code)
-            nxt.append(number.setdefault(state, len(number)))
+            row.append(number.setdefault(state, len(number)))
             if len(number) > len(states):
                 states.append(state)
+        nxt.append(tuple(row))
     # Tuples: every caller in the process shares them.
     return tuple(nxt), tuple(bad), tuple(state[3] for state in states)
 
@@ -254,17 +256,21 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     Walks machine x monitor (`_compiled()`) breadth-first from one start
     key per machine state, so witnesses are depth-minimal.  A product key
     is one int, mu * n + s for monitor state mu and machine state s of n,
-    and one step is one table lookup.  Each level is the one a monitor
+    and one step is one lookup in mu's row.  Each level is the one a monitor
     keeping every e2 would give with repeated classes dropped, in order, so
     the report is the same (2 528 keys for `extended32`, 4 928 with every
     e2 kept).  Undefined transitions of partial machines end the branch.
 
-    parent[key], one flat list per call, is key' * 9 + i for the key' and
-    input i that first reached key, _START at a start and _UNREACHED
-    before: O(monitor states x n) entries, 739 x 32 = 23 648 for
-    `extended32` and about 355 k for a 480-state machine.  A breach is
-    re-checked by `check_transcript`'s rules on the witness run it leads
-    back to, once per breaching slot (mu, step code).  This is exact:
+    parent[key], one flat list per call of 739 x n entries, is key' * 9 + i
+    for the key' and input i that first reached key, _START at a start and
+    _UNREACHED before.  mark holds one byte per (monitor state, set) slot,
+    739 x S for the S distinct sets of two or more successors (72 for
+    `spekkens16`).  The first move into a slot reaches every member of the
+    set, so a later one, in any order, would change nothing: it is skipped,
+    and the levels, parents and witnesses are those of expanding every move.
+    A breach is re-checked by `check_transcript`'s rules on the witness run
+    it leads back to, once per breaching slot (mu, step code), before the
+    key's moves, which set only the next level's parents.  This is exact:
     every earlier step of the run passed, so each violation ends at the
     breach, and its key below is fixed by the step code and by the
     pending value (R) or the last two steps (C) that mu holds.
@@ -281,10 +287,19 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     nxt, bad, _ = _compiled()
     n, k = len(m.states), len(_NAMES)
     codes, code_mask = _steps(m)
-    moves = [
-        [(i, codes[s][i], [t for t, _ in r]) for i, r in enumerate(row)]
-        for s, row in enumerate(m.transitions)
-    ]
+    # moves[s]: (input, step code, -1, t) for one successor t, and
+    # (input, step code, set * 739, successors) for a numbered set.
+    sets: dict[frozenset[int], int] = {}
+    moves: list[list[tuple]] = [[] for _ in range(n)]
+    for s, row in enumerate(m.transitions):
+        for i, dist in enumerate(row):
+            if len(dist) == 1:
+                moves[s].append((i, codes[s][i], -1, dist[0][0]))
+            elif dist:
+                ts = tuple(t for t, _ in dist)
+                slot = sets.setdefault(frozenset(ts), len(sets)) * len(bad)
+                moves[s].append((i, codes[s][i], slot, ts))
+    mark = bytearray(len(bad) * len(sets))
     parent = [_UNREACHED] * (len(bad) * n)
     # Monitor state 0 is the empty one, so a start key is its machine state.
     parent[:n] = [_START] * n
@@ -306,32 +321,38 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
         new: list[int] = []
         for key in level:
             mu, s = divmod(key, n)
-            if not (expand or bad[mu] & code_mask[s]):
-                continue
-            row = mu * _CODES
-            for i, code, ts in moves[s]:
-                step = nxt[row + code]
-                if step == _BREACH:
-                    if row + code in checked:
+            r = nxt[mu]
+            if bad[mu] & code_mask[s]:
+                for i, code in enumerate(codes[s]):
+                    if r[code] != _BREACH or mu * _CODES + code in checked:
                         continue
-                    checked.add(row + code)
+                    checked.add(mu * _CODES + code)
                     start_label, seq, outs = witness(key, i)
                     for vio in _check_run(seq, outs, start_label):
-                        dedup = (
-                            vio.kind,
-                            tuple(seq[p] for p in vio.positions),
-                            vio.expected,
-                            vio.observed,
-                        )
-                        found.setdefault(dedup, vio)
+                        at = tuple(seq[p] for p in vio.positions)
+                        found.setdefault((vio.kind, at, vio.expected, vio.observed), vio)
+            if not expand:
+                continue
+            for i, code, slot, ts in moves[s]:
+                step = r[code]
+                if step == _BREACH:
                     continue
-                if expand:
-                    step *= n
-                    for t in ts:
-                        nkey = step + t
-                        if parent[nkey] == _UNREACHED:
-                            parent[nkey] = key * k + i
-                            new.append(nkey)
+                if slot < 0:
+                    nkey = step * n + ts
+                    if parent[nkey] == _UNREACHED:
+                        parent[nkey] = key * k + i
+                        new.append(nkey)
+                    continue
+                slot += step
+                if mark[slot]:
+                    continue
+                mark[slot] = 1
+                step *= n
+                for t in ts:
+                    nkey = step + t
+                    if parent[nkey] == _UNREACHED:
+                        parent[nkey] = key * k + i
+                        new.append(nkey)
         level = new
         if not level:
             break
@@ -532,12 +553,12 @@ def search_machines(
             key = queue.popleft()
             mu, s = divmod(key, n)
             d = best[key] + 1
-            row, code, succ = mu * _CODES, codes[s], table[s]
+            r, code, succ = nxt[mu], codes[s], table[s]
             for i in _REGISTER[last[mu]]:
                 t = succ[i]
                 if t < 0:
                     waited.append((s, i))
-                elif not reach(nxt[row + code[i]] * n + t, d):
+                elif not reach(r[code[i]] * n + t, d):
                     return False
         return True
 
@@ -545,7 +566,7 @@ def search_machines(
         table[s][i] = t
         code = codes[s][i]
         for key in expanding[s][:]:
-            if not reach(nxt[key // n * _CODES + code] * n + t, best[key] + 1):
+            if not reach(nxt[key // n][code] * n + t, best[key] + 1):
                 return False
         return propagate()
 

@@ -787,7 +787,7 @@ def _compiled_keys_per_level(m):
     def successors(key):
         mu, s = divmod(key, n)
         for i, v in enumerate(m.outputs[s]):
-            step = nxt[mu * _CODES + _code(i, v)]
+            step = nxt[mu][_code(i, v)]
             if step != _BREACH:
                 yield from (step * n + t for t in m.successors(s, i))
 
@@ -835,7 +835,7 @@ def _shortest_words(nxt):
     queue = [0]
     for mu in queue:
         for code in range(1, _CODES):
-            nu = nxt[mu * _CODES + code]
+            nu = nxt[mu][code]
             if nu != _BREACH and nu not in words:
                 words[nu] = words[mu] + (code,)
                 queue.append(nu)
@@ -856,7 +856,7 @@ def _classes(nxt, label):
     classes = label
     while True:
         signature = {
-            mu: (classes[mu], tuple(classes.get(nxt[mu * _CODES + c]) for c in range(1, _CODES)))
+            mu: (classes[mu], tuple(classes.get(nxt[mu][c]) for c in range(1, _CODES)))
             for mu in classes
         }
         ids = {}
@@ -873,11 +873,11 @@ def test_compiled_monitor_breaches_where_the_literal_checks_do():
     nxt, bad, last = _compiled()
     words = _shortest_words(nxt)
     assert len(words) == len(bad) == len(last) == 739
-    assert len(nxt) == 739 * _CODES
+    assert len(nxt) == 739 and {len(row) for row in nxt} == {_CODES}
     for mu, word in words.items():
         assert last[mu] == (word[-1] if word else 0)
         for code in range(1, _CODES):
-            breach = nxt[mu * _CODES + code] == _BREACH
+            breach = nxt[mu][code] == _BREACH
             assert breach == bool(bad[mu] >> code & 1)
             assert breach == bool(_last_step_violations(word + (code,))), (word, code)
 
@@ -1122,6 +1122,145 @@ def test_one_recheck_per_breaching_slot_reports_what_the_raw_walk_reports(build,
     for report in reports:
         del report["elapsed_ms"]
     assert reports[0] == reports[1]
+
+
+def _every_move_violations(m, depth):
+    """`verify_machine`'s violations, with every move expanded.
+
+    The reference for the successor-set marks: the level loop as it stood
+    before them, which walks each move into a set of successors member by
+    member and re-checks a breach where the move list meets it.
+    """
+    out = m.outputs
+    nxt, bad, _ = _compiled()
+    n, k = len(m.states), len(_NAMES)
+    codes = [[_code(i, v) for i, v in enumerate(row)] for row in out]
+    code_mask = [sum(1 << c for c in row) for row in codes]
+    moves = [
+        [(i, codes[s][i], [t for t, _ in r]) for i, r in enumerate(row)]
+        for s, row in enumerate(m.transitions)
+    ]
+    parent = [-2] * (len(bad) * n)
+    parent[:n] = [-1] * n
+    level = list(range(n))
+    found = {}
+    checked = set()
+
+    def witness(key, i):
+        run = [(key % n, i)]
+        while parent[key] >= 0:
+            key, i = divmod(parent[key], k)
+            run.append((key % n, i))
+        seq = tuple(_NAMES[i] for _, i in reversed(run))
+        return m.states[key % n], seq, tuple(out[s][i] for s, i in reversed(run))
+
+    for d in range(depth):
+        expand = d + 1 < depth
+        new = []
+        for key in level:
+            mu, s = divmod(key, n)
+            if not (expand or bad[mu] & code_mask[s]):
+                continue
+            for i, code, ts in moves[s]:
+                step = nxt[mu][code]
+                if step == _BREACH:
+                    if mu * _CODES + code in checked:
+                        continue
+                    checked.add(mu * _CODES + code)
+                    start_label, seq, outs = witness(key, i)
+                    for vio in _check_run(seq, outs, start_label):
+                        dedup = (
+                            vio.kind,
+                            tuple(seq[p] for p in vio.positions),
+                            vio.expected,
+                            vio.observed,
+                        )
+                        found.setdefault(dedup, vio)
+                    continue
+                if expand:
+                    for t in ts:
+                        nkey = step * n + t
+                        if parent[nkey] == -2:
+                            parent[nkey] = key * k + i
+                            new.append(nkey)
+        level = new
+        if not level:
+            break
+    return tuple(
+        sorted(
+            found.values(),
+            key=lambda v: (len(v.sequence), v.kind, v.sequence, v.positions),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "spekkens16",
+        "extended32",
+        "extended32-randomized",
+        "paper4",
+        "single_trigger",
+        "same_destination",
+    ],
+)
+def test_successor_set_marks_report_what_expanding_every_move_reports(name):
+    # spekkens16 and extended32-randomized move into 72 and 112 distinct
+    # sets of two successors from many keys; paper4 has empty rows.  Whole
+    # violations are compared, so every first witness must be the same.
+    from pmtoy.cli import BUILTIN_MACHINES, build_machine
+
+    m = build_machine(name) if name in BUILTIN_MACHINES else variant_machine(name)
+    for depth in range(1, 8):
+        assert verify_machine(m, depth).violations == _every_move_violations(m, depth), depth
+
+
+@st.composite
+def _machine_files_with_shared_sets(draw):
+    """A value-preserving machine file on 2-6 extended states, read with `from_json`.
+
+    A row lists no successor, one or several.  Several rows list the same
+    set in different orders: a row may take a prefix of its value class,
+    in the states' order, and permute it.  Each successor weighs 1-3 over
+    the row's sum, so some rows are not uniform.
+    """
+    from pmtoy.extension import ALL_EXT, ext_value
+
+    chosen = draw(st.lists(st.sampled_from(ALL_EXT), min_size=2, max_size=6, unique=True))
+    transitions = {}
+    for s in chosen:
+        transitions[s.label] = {}
+        for o in pauli.OBSERVABLE_NAMES:
+            domain = [t.label for t in chosen if ext_value(t, o) == ext_value(s, o)]
+            ts = draw(
+                st.one_of(
+                    st.lists(st.sampled_from(domain), unique=True),
+                    st.integers(0, len(domain)).flatmap(
+                        lambda j, domain=domain: st.permutations(domain[:j])
+                    ),
+                )
+            )
+            weights = draw(st.lists(st.integers(1, 3), min_size=len(ts), max_size=len(ts)))
+            transitions[s.label][o] = [
+                {"to": t, "prob": str(Fraction(w, sum(weights)))} for t, w in zip(ts, weights)
+            ]
+    data = {
+        "name": "drawn",
+        "inputs": list(pauli.OBSERVABLE_NAMES),
+        "states": [s.label for s in chosen],
+        "outputs": {s.label: {o: ext_value(s, o) for o in pauli.OBSERVABLE_NAMES} for s in chosen},
+        "transitions": transitions,
+    }
+    return MealyMachine.from_json(json.dumps(data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_machine_files_with_shared_sets(), depth=st.integers(min_value=1, max_value=7))
+def test_successor_set_marks_on_drawn_machine_files(m, depth):
+    # Skipping a move into an expanded (monitor state, set) slot must not
+    # depend on the order or the weights the rows list the set with.
+    assert verify_machine(m, depth).violations == _every_move_violations(m, depth)
 
 
 def test_violation_list_holds_every_one_of_the_54_keys():
