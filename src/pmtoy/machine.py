@@ -219,12 +219,6 @@ class MealyMachine:
     def is_total(self) -> bool:
         return all(row for srow in self.transitions for row in srow)
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(
-            len(row) <= 1 for srow in self.transitions for row in srow
-        )
-
     def successors(self, state: int | str, inp: int | str) -> tuple[int, ...]:
         s, i = self.state_index(state), self.input_index(inp)
         return tuple(t for t, _ in self.transitions[s][i])

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import pauli
@@ -66,22 +65,6 @@ _AXIS_VALUE: Mapping[str, Callable[[ToyBitOntic], Sign]] = {
     "Y": lambda s: s.y,
     "Z": lambda s: s.z,
 }
-
-
-def toybit_measure(
-    s: ToyBitOntic, axis: str, rng: random.Random
-) -> tuple[Sign, ToyBitOntic]:
-    """Measure one toy bit along X, Y or Z.
-
-    The outcome is the partition containing s; the next state is uniform
-    over the two cells of that partition.
-    """
-    if axis not in _AXIS_VALUE or axis == "I":
-        raise ValueError(f"axis must be X, Y or Z, got {axis!r}")
-    value = _AXIS_VALUE[axis]
-    outcome = value(s)
-    members = [c for c in TOYBIT_CELLS if value(c) == outcome]
-    return outcome, rng.choice(members)
 
 
 class OnticState(NamedTuple):

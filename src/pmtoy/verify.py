@@ -264,10 +264,11 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     parent[key], one flat list per call of 739 x n entries, is key' * 9 + i
     for the key' and input i that first reached key, _START at a start and
     _UNREACHED before.  mark holds one byte per (monitor state, set) slot,
-    739 x S for the S distinct sets of two or more successors (72 for
-    `spekkens16`).  The first move into a slot reaches every member of the
-    set, so a later one, in any order, would change nothing: it is skipped,
-    and the levels, parents and witnesses are those of expanding every move.
+    739 x S for the S distinct successor sets, one successor making a
+    one-member set (72 for `spekkens16`, 32 for `extended32`, 4 for `paper4`).
+    The first move into a slot reaches every member of the set, so a later
+    one, in any order, would change nothing: it is skipped, and the levels,
+    parents and witnesses are those of expanding every move.
     A breach is re-checked by `check_transcript`'s rules on the witness run
     it leads back to, once per breaching slot (mu, step code), before the
     key's moves, which set only the next level's parents.  This is exact:
@@ -287,15 +288,13 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     nxt, bad, _ = _compiled()
     n, k = len(m.states), len(_NAMES)
     codes, code_mask = _steps(m)
-    # moves[s]: (input, step code, -1, t) for one successor t, and
-    # (input, step code, set * 739, successors) for a numbered set.
+    # moves[s]: (input, step code, set * 739, successors) per nonempty row,
+    # its successor set numbered in `sets`; one successor is a one-member set.
     sets: dict[frozenset[int], int] = {}
     moves: list[list[tuple]] = [[] for _ in range(n)]
     for s, row in enumerate(m.transitions):
         for i, dist in enumerate(row):
-            if len(dist) == 1:
-                moves[s].append((i, codes[s][i], -1, dist[0][0]))
-            elif dist:
+            if dist:
                 ts = tuple(t for t, _ in dist)
                 slot = sets.setdefault(frozenset(ts), len(sets)) * len(bad)
                 moves[s].append((i, codes[s][i], slot, ts))
@@ -336,12 +335,6 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
             for i, code, slot, ts in moves[s]:
                 step = r[code]
                 if step == _BREACH:
-                    continue
-                if slot < 0:
-                    nkey = step * n + ts
-                    if parent[nkey] == _UNREACHED:
-                        parent[nkey] = key * k + i
-                        new.append(nkey)
                     continue
                 slot += step
                 if mark[slot]:

@@ -1,7 +1,6 @@
 """Toy-bit partitions, sign tables, measurement cosets, and the toy knowledge rule."""
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -16,13 +15,11 @@ from pmtoy.toy import (
     TOY_SIGN,
     TOYBIT_CELLS,
     OnticState,
-    ToyBitOntic,
     compact,
     coset,
     observable_value,
     spekkens_machine,
     table_of,
-    toybit_measure,
 )
 
 
@@ -40,38 +37,6 @@ def test_toybit_partitions():
     assert xplus == {1, 2}
     assert yplus == {1, 3}
     assert zplus == {1, 4}
-
-
-def test_toybit_measure_cell2_x_axis():
-    outcome, _ = toybit_measure(ToyBitOntic(-1, +1), "X", random.Random(0))
-    assert outcome == +1
-
-
-def test_toybit_measure_z_update_stays_in_partition():
-    seen = set()
-    for seed in range(32):
-        outcome, nxt = toybit_measure(ToyBitOntic(+1, +1), "Z", random.Random(seed))
-        assert outcome == +1
-        seen.add(nxt)
-    assert seen == {ToyBitOntic(+1, +1), ToyBitOntic(+1, -1)}
-
-
-def test_toybit_repeated_measurement_is_repeatable():
-    # Exhaust all states, axes, and both coset members.
-    for s in TOYBIT_CELLS:
-        for axis in "XYZ":
-            for seed in range(8):
-                rng = random.Random(seed)
-                first, nxt = toybit_measure(s, axis, rng)
-                second, _ = toybit_measure(nxt, axis, rng)
-                assert first == second
-
-
-def test_toybit_measure_rejects_bad_axis():
-    # I is a Pauli letter but not a measurement of the toy bit.
-    for axis in ("W", "I", "", "XY"):
-        with pytest.raises(ValueError, match="axis must be X, Y or Z"):
-            toybit_measure(ToyBitOntic(+1, +1), axis, random.Random(0))
 
 
 def test_table_of_all_plus_state():

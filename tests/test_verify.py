@@ -1203,15 +1203,30 @@ def _every_move_violations(m, depth):
         "paper4",
         "single_trigger",
         "same_destination",
+        "family-paper4",
+        "family-cplus16",
+        "family-all32-bit2",
     ],
 )
 def test_successor_set_marks_report_what_expanding_every_move_reports(name):
     # spekkens16 and extended32-randomized move into 72 and 112 distinct
-    # sets of two successors from many keys; paper4 has empty rows.  Whole
+    # sets of two successors from many keys; paper4 has empty rows, and
+    # extended32 only one-member sets.  The families are total, with rows of
+    # up to 8 successors, and cplus16 reaches all 54 violation keys.  Whole
     # violations are compared, so every first witness must be the same.
     from pmtoy.cli import BUILTIN_MACHINES, build_machine
 
-    m = build_machine(name) if name in BUILTIN_MACHINES else variant_machine(name)
+    families = {
+        "family-paper4": family_paper4,
+        "family-cplus16": family_cplus16,
+        "family-all32-bit2": family_all32_bit2,
+    }
+    if name in families:
+        m = families[name]()
+    elif name in BUILTIN_MACHINES:
+        m = build_machine(name)
+    else:
+        m = variant_machine(name)
     for depth in range(1, 8):
         assert verify_machine(m, depth).violations == _every_move_violations(m, depth), depth
 
