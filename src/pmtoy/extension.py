@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from . import pauli
 from .machine import MealyMachine
 from .toy import (
     ALL_ONTIC,
@@ -76,11 +75,6 @@ ALIASES: Mapping[str, ExtOnticState] = {
 def ext_value(s: ExtOnticState, name: str) -> Sign:
     v = observable_value(s.base, name)
     return v * s.c if name == "Y1Y2" else v
-
-
-def ext_table(s: ExtOnticState) -> tuple[Sign, ...]:
-    """The sign table of ext_value: table_of(base) with its last entry, Y1Y2's, times c."""
-    return tuple(ext_value(s, name) for name in pauli.OBSERVABLE_NAMES)
 
 
 # Trigger plan: (c, measured observable) -> generator indices flipped

@@ -100,12 +100,6 @@ def _check_run(
     inputs: Sequence[str], outputs: Sequence[int], start: str | None = None
 ) -> list[Violation]:
     ins, outs = tuple(inputs), tuple(outputs)
-    for nm in ins:
-        if nm not in pauli.OBSERVABLES:
-            raise ValueError(f"not a PM observable: {nm!r}")
-    for v in outs:
-        if v not in (+1, -1):
-            raise ValueError(f"not a +/-1 outcome: {v!r}")
     violations: list[Violation] = []
     # (R): from each step p, scan forward to the first input incompatible
     # with ins[p]; every equal input on the way must repeat its output.
@@ -134,6 +128,9 @@ def check_transcript(t: Transcript, start: str | None = None) -> list[Violation]
 
     The cost is at worst quadratic in run length, as the number of breaches can be.
     """
+    for nm in t.inputs:
+        if nm not in pauli.OBSERVABLES:
+            raise ValueError(f"not a PM observable: {nm!r}")
     return _check_run(t.inputs, t.outputs, start)
 
 
@@ -193,8 +190,7 @@ _STEP_BIT = [0] + [1 << i for i in range(len(_NAMES)) for _ in (+1, -1)]
 # per state.
 _CODES = len(_STEP_BIT)
 _BREACH = -1
-# verify_machine's parent entries for a start key and a key not yet reached.
-_START = -1
+# verify_machine's parent entry for a key not yet reached, or a start key.
 _UNREACHED = -2
 
 
@@ -262,8 +258,9 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     e2 kept).  Undefined transitions of partial machines end the branch.
 
     parent[key], one flat list per call of 739 x n entries, is key' * 9 + i
-    for the key' and input i that first reached key, _START at a start and
-    _UNREACHED before.  mark holds one byte per (monitor state, set) slot,
+    for the key' and input i that first reached key, else _UNREACHED, which
+    a start key keeps: each step sets e1 to its code, at least 1, so no move
+    enters monitor state 0.  mark holds one byte per (monitor state, set) slot,
     739 x S for the S distinct successor sets, one successor making a
     one-member set (72 for `spekkens16`, 32 for `extended32`, 4 for `paper4`).
     The first move into a slot reaches every member of the set, so a later
@@ -301,7 +298,6 @@ def verify_machine(m: MealyMachine, depth: int) -> VerificationReport:
     mark = bytearray(len(bad) * len(sets))
     parent = [_UNREACHED] * (len(bad) * n)
     # Monitor state 0 is the empty one, so a start key is its machine state.
-    parent[:n] = [_START] * n
     level = list(range(n))
 
     found: dict[tuple, Violation] = {}

@@ -380,6 +380,24 @@ def test_simulate_empty_sequence_exit_two(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (("--start", "nowhere"), "unknown start state 'nowhere' for machine extended32"),
+        (("--start", "a", "--seed", "-1"), "seed must be an unsigned 64-bit value"),
+        (("--start", "a", "--seed", str(2**64)), "seed must be an unsigned 64-bit value"),
+    ],
+    ids=["start-nowhere", "seed-negative", "seed-2**64"],
+)
+def test_simulate_unknown_start_or_out_of_range_seed_exit_two(capsys, options, message):
+    code, out, err = run_cli(
+        capsys, "simulate", "--machine", "extended32", "--seq", "Z1", *options
+    )
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_simulate_unknown_observable_exit_two(capsys):
     # In paper4 the bad token follows a step that succeeds.
     for machine, start, seq in [("spekkens16", "++++", "Z1,Q7"), ("paper4", "a", "Z1Z2,Q7")]:

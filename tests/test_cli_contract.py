@@ -112,6 +112,7 @@ def workdir(tmp_path_factory):
         ("output", INF),
         ("output", NAN),
         ("prob", "1/0"),
+        ("prob", "0"),
         ("prob", INF),
         ("prob", "x"),
         ("prob", "1e0"),

@@ -11,7 +11,6 @@ from pmtoy.extension import (
     DRAWN_EDGES,
     LABEL_DISCREPANCIES,
     ExtOnticState,
-    ext_table,
     ext_value,
     extended_machine,
     four_state_machine,
@@ -21,39 +20,47 @@ from pmtoy.extension import (
 from pmtoy.pauli import COMMUTING
 from pmtoy.toy import ALL_ONTIC, OnticState, compact, table_of
 
+# Each extended state's sign table, as the machine emits it.
+TABLES = dict(zip(ALL_EXT, extended_machine().outputs))
+
 
 def test_thirty_two_states():
     assert len(set(ALL_EXT)) == 32
     assert sum(1 for s in ALL_EXT if s.c == +1) == 16
 
 
+def test_the_machine_stores_its_states_in_all_ext_order():
+    for randomized in (False, True):
+        assert extended_machine(randomized).states == tuple(s.label for s in ALL_EXT)
+
+
 def test_aliases_have_the_diagram_tables():
     for alias, table in DIAGRAM_TABLES.items():
-        assert compact(ext_table(ALIASES[alias])) == table
+        assert compact(TABLES[ALIASES[alias]]) == table
 
 
 def test_spec_example_tables():
-    assert compact(ext_table(ExtOnticState(OnticState(+1, +1, +1, +1), +1))) == "+++/+++/+++"
+    assert compact(TABLES[ExtOnticState(OnticState(+1, +1, +1, +1), +1)]) == "+++/+++/+++"
     b = ExtOnticState(OnticState(+1, +1, +1, -1), -1)
-    assert ext_table(b) == (+1, +1, +1, -1, +1, -1, -1, +1, +1)
+    assert TABLES[b] == (+1, +1, +1, -1, +1, -1, -1, +1, +1)
     d = ExtOnticState(OnticState(+1, -1, +1, -1), +1)
-    assert ext_table(d) == (+1, -1, -1, -1, +1, -1, -1, -1, +1)
+    assert TABLES[d] == (+1, -1, -1, -1, +1, -1, -1, -1, +1)
 
 
 def test_extended_tables_match_both_figure_halves():
-    compacts = [compact(ext_table(s)) for s in ALL_EXT]
+    compacts = [compact(TABLES[s]) for s in ALL_EXT]
     assert compacts[:16] == FIGURE_16
     assert compacts[16:] == FIGURE_32_RIGHT
 
 
 def test_cplus_half_equals_original_tables():
     for s in ALL_ONTIC:
-        assert ext_table(ExtOnticState(s, +1)) == table_of(s)
+        assert TABLES[ExtOnticState(s, +1)] == table_of(s)
 
 
 def test_context_products_track_the_contradiction_flag():
     for s in ALL_EXT:
-        products = pauli.context_products(ext_table(s))
+        products = pauli.context_products(TABLES[s])
         assert products["row1"] == products["row2"] == +1
         assert products["col1"] == products["col2"] == +1
         assert products["row3"] == s.c

@@ -109,6 +109,10 @@ UNREADABLE_BUILDS = {
         dict(transitions=_weights([0, Fraction(1)])),
         "transition row is not a tuple",
     ),
+    "weight-zero": (
+        dict(transitions=_weights((0, Fraction(0)), (1, Fraction(1)))),
+        "non-positive transition weight",
+    ),
 }
 
 
@@ -204,6 +208,10 @@ def test_state_and_input_lookup_errors():
         m.input_index("Y1")
     assert m.state_index(1) == 1
     assert m.input_index("Z1") == 0
+    with pytest.raises(ValueError, match="state index out of range: 16"):
+        step(spekkens_machine(), 16, "Z1", random.Random(0))
+    with pytest.raises(ValueError, match="input index out of range: 9"):
+        spekkens_machine().output(0, 9)
 
 
 BOOL_INDEX_CALLS = {
@@ -270,10 +278,11 @@ def test_empty_sequence_gives_identity_transcript():
         (("Z1",), (1,), 1, "positive Fraction"),
         (("Z1",), (1,), Fraction(0), "positive Fraction"),
         (("Z1",), (1,), Fraction(-1, 2), "positive Fraction"),
+        (("Z1", "X1"), (1,), Fraction(1), "inputs/outputs length mismatch"),
     ],
     ids=[
         "inputs-list", "outputs-list", "output-5", "output-bool", "output-float",
-        "weight-float", "weight-int", "weight-zero", "weight-negative",
+        "weight-float", "weight-int", "weight-zero", "weight-negative", "length-mismatch",
     ],
 )
 def test_transcript_holds_only_what_a_machine_emits(inputs, outputs, probability, message):
@@ -597,6 +606,13 @@ def test_from_json_dict_refuses_a_zero_denominator():
         data["transitions"]["a"]["Z1Z2"][0]["prob"] = prob
         with pytest.raises(ValueError, match="zero denominator"):
             MealyMachine.from_json_dict(data)
+
+
+def test_from_json_dict_refuses_a_zero_weight():
+    data = four_state_machine().to_json_dict()
+    data["transitions"]["a"]["Z1Z2"][0]["prob"] = "0"
+    with pytest.raises(ValueError, match="non-positive transition weight"):
+        MealyMachine.from_json_dict(data)
 
 
 def test_inputs_are_the_nine_observables_for_every_machine():

@@ -90,6 +90,7 @@ def test_check_transcript_rejects_names_outside_the_square():
 
 
 def test_check_transcript_rejects_outputs_other_than_plus_minus_one():
+    # `Transcript` refuses them, so no transcript reaches the check with one.
     for inputs, outputs, bad in (
         (("Z1", "X1"), (5, 0), 5),
         (("Z1", "Z1"), (7, 7), 7),
@@ -880,6 +881,15 @@ def test_compiled_monitor_breaches_where_the_literal_checks_do():
             breach = nxt[mu][code] == _BREACH
             assert breach == bool(bad[mu] >> code & 1)
             assert breach == bool(_last_step_violations(word + (code,))), (word, code)
+
+
+def test_no_step_enters_the_empty_monitor_state():
+    # verify_machine leaves a start key, monitor state 0, unreached in
+    # `parent`, which ends its witnesses: that is exact only if no step
+    # leads back to state 0.  Nor can state 0 breach.
+    nxt, bad, _ = _compiled()
+    assert all(0 not in row for row in nxt)
+    assert bad[0] == 0
 
 
 def test_no_smaller_monitor_reports_the_same_violations():
