@@ -24,6 +24,7 @@ b -> a edge label (-1) and state b's own X1Z2 table value (+1).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .machine import MealyMachine
@@ -122,15 +123,25 @@ def _randomized_successors(s: ExtOnticState, name: str) -> tuple[ExtOnticState, 
     return tuple(ExtOnticState(base, nxt.c) for base in coset(nxt.base, name))
 
 
+@functools.cache
 def extended_machine(randomized: bool = False) -> MealyMachine:
-    """The 32-state contextual machine (deterministic skeleton by default)."""
+    """The 32-state contextual machine (deterministic skeleton by default).
+
+    Built on first use, once per process for each argument list, and
+    shared: a machine is immutable.  `variant_machine` and
+    `four_state_machine` are cached alike.
+    """
     if randomized:
         return _ext_machine("extended32-randomized", _randomized_successors)
     return _ext_machine("extended32", lambda s, o: (skeleton_next(s, o),))
 
 
+@functools.cache
 def variant_machine(kind: str) -> MealyMachine:
-    """One of the two rejected constructions, for refutation tests."""
+    """One of the two rejected constructions, for refutation tests.
+
+    An unknown kind raises ValueError on every call: exceptions are not cached.
+    """
     if kind not in VARIANT_TRIGGERS:
         raise ValueError(
             f"variant must be one of {sorted(VARIANT_TRIGGERS)}, got {kind!r}"
@@ -168,6 +179,7 @@ _DISCREPANCY_NOTE = (
 )
 
 
+@functools.cache
 def four_state_machine() -> MealyMachine:
     """The literal four-state sub-machine with exactly the eight drawn edges.
 

@@ -178,11 +178,13 @@ def ontic_machine(
     )
 
 
+@functools.cache
 def spekkens_machine() -> MealyMachine:
     """The toy model as a 16-state stochastic Mealy machine.
 
     States are the ontic states, outputs come from the sign tables, and
-    each transition is uniform over the value-preserving coset.
+    each transition is uniform over the value-preserving coset.  Built on
+    first use, once per process, and shared: a machine is immutable.
     """
     return ontic_machine(
         "spekkens16", {s.label: s for s in ALL_ONTIC}, observable_value, coset

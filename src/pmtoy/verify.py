@@ -129,7 +129,8 @@ def check_transcript(t: Transcript, start: str | None = None) -> list[Violation]
     The cost is at worst quadratic in run length, as the number of breaches can be.
     """
     for nm in t.inputs:
-        if nm not in pauli.OBSERVABLES:
+        # A str first: a list, say, is unhashable and cannot be looked up.
+        if not isinstance(nm, str) or nm not in pauli.OBSERVABLES:
             raise ValueError(f"not a PM observable: {nm!r}")
     return _check_run(t.inputs, t.outputs, start)
 
@@ -375,6 +376,8 @@ def refute_variant(kind: str) -> Violation:
     from the all-plus contradiction-in-column state and returns the first
     context-product breach, the witness (+1, +1, +1).  Raises if every
     run keeps (C), which would mean the variant construction regressed.
+    `variant_machine` builds the variant once per process, so a call pays
+    only the replay and its check.
     """
     m = variant_machine(kind)
     start = ALIASES["a"].label
@@ -427,16 +430,21 @@ def _family(
     return ontic_machine(name, states, ext_value, successors)
 
 
+# Each family is built on first use, once per process, and shared, as the
+# builtin machines are.
+@functools.cache
 def family_paper4() -> MealyMachine:
     return _family("paper4", ALIASES, lambda s: ALIASES.values())
 
 
+@functools.cache
 def family_cplus16() -> MealyMachine:
     """The 16 original tables only (contradiction in the last column)."""
     states = {s.label: s for s in (ExtOnticState(b, +1) for b in ALL_ONTIC)}
     return _family("cplus16", states, lambda s: states.values())
 
 
+@functools.cache
 def family_all32_bit2() -> MealyMachine:
     """All 32 extended states; moves restricted to the skeleton shape.
 

@@ -164,8 +164,10 @@ def test_variant_machines_are_valid_but_different():
     twin = same.state_index("++++/row")
     assert same.successors(a, "Z1Z2") == (twin,)
     assert same.successors(a, "X1X2") == (twin,)
-    with pytest.raises(ValueError):
-        variant_machine("nonsense")
+    # Exceptions are not cached: an unknown kind raises on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            variant_machine("nonsense")
 
 
 def test_extended_machine_every_input_changes_nothing_but_triggers():

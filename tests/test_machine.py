@@ -414,6 +414,28 @@ REFERENCE_MACHINES = {
 }
 
 
+# Every builder of a fixed machine, with the arguments it takes.
+CACHED_BUILDERS = {
+    "spekkens16": (spekkens_machine, ()),
+    "extended32": (extended_machine, ()),
+    "extended32-randomized": (extended_machine, (True,)),
+    "paper4": (four_state_machine, ()),
+    **{f"variant-{kind}": (variant_machine, (kind,)) for kind in VARIANT_TRIGGERS},
+    **{f"family-{name}": (build, ()) for name, build in FAMILIES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
+def test_each_fixed_machine_is_built_once_and_shared(name):
+    build, args = CACHED_BUILDERS[name]
+    m = build(*args)
+    assert build(*args) is m
+    fresh = build.__wrapped__(*args)
+    assert fresh is not m
+    assert fresh == m
+    assert fresh.to_json() == m.to_json()
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_MACHINES))
 def test_enumeration_matches_the_path_by_path_reference(name):
     m = REFERENCE_MACHINES[name]()
@@ -557,7 +579,7 @@ def test_json_round_trip(build):
 
 def test_json_is_canonical():
     m = spekkens_machine()
-    assert m.to_json() == spekkens_machine().to_json()
+    assert m.to_json() == spekkens_machine.__wrapped__().to_json()
     assert '"name"' in m.to_json()
 
 

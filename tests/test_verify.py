@@ -4,6 +4,7 @@ import collections
 import decimal
 import itertools
 import json
+import re
 import time
 from fractions import Fraction
 from typing import Callable
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from lueders import lueders_runs
 from pmtoy import pauli
 from pmtoy.cli import main
-from pmtoy.extension import extended_machine, four_state_machine, variant_machine
+from pmtoy.extension import VARIANT_TRIGGERS, extended_machine, four_state_machine, variant_machine
 from pmtoy.machine import (
     MealyMachine,
     Transcript,
@@ -87,6 +88,13 @@ def test_check_transcript_rejects_names_outside_the_square():
     for inputs in (("Q", "R", "Q"), ("Q", "Q")):
         with pytest.raises(ValueError, match="not a PM observable: 'Q'"):
             check_transcript(_t(inputs, [+1, -1, +1][: len(inputs)]))
+
+
+def test_check_transcript_rejects_inputs_that_are_not_strings():
+    # A list cannot be looked up among the names, yet it is refused as 7 is.
+    for nm in (["Z1"], 7):
+        with pytest.raises(ValueError, match=re.escape(f"not a PM observable: {nm!r}")):
+            check_transcript(Transcript((nm,), (1,), Fraction(1), "e"))
 
 
 def test_check_transcript_rejects_outputs_other_than_plus_minus_one():
@@ -316,6 +324,25 @@ def test_refute_same_destination():
     assert len(v.sequence) <= 4
     assert v.observed == +1
     assert v.sequence == ("Y1Y2", "X1X2", "Z1Z2")
+
+
+def test_a_repeat_refutation_constructs_no_machine(monkeypatch):
+    # Counts constructions, not time: each variant is built once per process.
+    kinds = sorted(VARIANT_TRIGGERS)
+    first = [refute_variant(kind) for kind in kinds]
+    built = []
+    post_init = MealyMachine.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(MealyMachine, "__post_init__", counting)
+    assert [refute_variant(kind) for kind in kinds] == first
+    assert built == []
+    # The wrapper does see a construction: a fresh build is counted.
+    variant_machine.__wrapped__(kinds[0])
+    assert built == [f"extended32-{kinds[0].replace('_', '-')}"]
 
 
 def test_extended_machine_survives_the_refutation_search():
