@@ -123,14 +123,19 @@ def _randomized_successors(s: ExtOnticState, name: str) -> tuple[ExtOnticState, 
     return tuple(ExtOnticState(base, nxt.c) for base in coset(nxt.base, name))
 
 
-@functools.cache
 def extended_machine(randomized: bool = False) -> MealyMachine:
     """The 32-state contextual machine (deterministic skeleton by default).
 
-    Built on first use, once per process for each argument list, and
-    shared: a machine is immutable.  `variant_machine` and
-    `four_state_machine` are cached alike.
+    Built on first use, once per process, and shared: a machine is
+    immutable.  Every spelling of the argument gives the same object.
+    `variant_machine` and `four_state_machine` are cached alike.
     """
+    return _extended_machine(bool(randomized))
+
+
+# One cache entry per machine: `extended_machine` passes one positional bool.
+@functools.cache
+def _extended_machine(randomized: bool) -> MealyMachine:
     if randomized:
         return _ext_machine("extended32-randomized", _randomized_successors)
     return _ext_machine("extended32", lambda s, o: (skeleton_next(s, o),))

@@ -72,6 +72,14 @@ def json_int(n: int) -> int | str:
     return str(decimal.Decimal(n))
 
 
+def _fields(report: object, **converted: object) -> dict:
+    """A report's fields by name, as JSON: tuples as lists, the `converted` ones as given."""
+    return {
+        k: converted[k] if k in converted else list(v) if isinstance(v, tuple) else v
+        for k, v in vars(report).items()
+    }
+
+
 @dataclass(frozen=True)
 class Violation:
     """One witnessed breach of (R) or (C), replayable from its start state."""
@@ -85,15 +93,7 @@ class Violation:
     observed: int
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "sequence": list(self.sequence),
-            "outputs": list(self.outputs),
-            "positions": list(self.positions),
-            "expected": self.expected,
-            "observed": self.observed,
-        }
+        return _fields(self)
 
 
 def _check_run(
@@ -149,14 +149,11 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "machine": self.machine,
-            "depth": self.depth,
-            "sequences_checked": json_int(self.sequences_checked),
-            "violations": [v.to_dict() for v in self.violations],
-            "elapsed_ms": self.elapsed_ms,
-            "notes": list(self.notes),
-        }
+        return _fields(
+            self,
+            sequences_checked=json_int(self.sequences_checked),
+            violations=[v.to_dict() for v in self.violations],
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -404,15 +401,7 @@ class SearchOutcome:
     budget: int
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "depth": self.depth,
-            "completions": self.completions,
-            "machines": [m.to_json_dict() for m in self.machines],
-            "exhausted": self.exhausted,
-            "nodes": self.nodes,
-            "budget": self.budget,
-        }
+        return _fields(self, machines=[m.to_json_dict() for m in self.machines])
 
 
 def _family(

@@ -25,9 +25,20 @@ from pmtoy.extension import (
 )
 from pmtoy.machine import Transcript
 from pmtoy.pauli import COMMUTING, knowledge_runs
-from pmtoy.toy import ALL_ONTIC, compact, coset, observable_value, spekkens_machine, table_of
+from pmtoy.toy import (
+    ALL_ONTIC,
+    TOY_SIGN,
+    compact,
+    coset,
+    observable_value,
+    spekkens_machine,
+    table_of,
+)
 from pmtoy.verify import (
+    _BREACH,
     CONTEXT_PRODUCT,
+    _code,
+    _compiled,
     check_transcript,
     family_cplus16,
     family_paper4,
@@ -195,6 +206,47 @@ def test_criterion_9_oracle_soundness():
                 assert check_transcript(t) == []
                 count += 1
         assert count >= 9**4
+
+
+def _oracle_gate_walk(signs):
+    """Breadth-first over (knowledge state, gate state) pairs from (empty, 0).
+
+    Each step takes a branch `measure_knowledge` gives positive weight and
+    the (R)+(C) gate's transition on it.  Returns the pairs reached, the
+    new pairs per level (the last 0) and the number of breaching steps.
+    """
+    nxt = _compiled()[0]
+    level = [(frozenset(), 0)]
+    seen, new_per_level, breaches = set(level), [], 0
+    while level:
+        new = []
+        for k, mu in level:
+            for i, name in enumerate(pauli.OBSERVABLE_NAMES):
+                for v, _, k2 in pauli.measure_knowledge(k, name, signs):
+                    mu2 = nxt[mu][_code(i, v)]
+                    if mu2 == _BREACH:
+                        breaches += 1
+                    elif (k2, mu2) not in seen:
+                        seen.add((k2, mu2))
+                        new.append((k2, mu2))
+        new_per_level.append(len(new))
+        level = new
+    return seen, new_per_level, breaches
+
+
+def test_criterion_9_at_every_length():
+    with criterion("9a", "every exact quantum run of every length passes the gate", 5.0):
+        seen, new_per_level, breaches = _oracle_gate_walk(pauli.PRESCRIBED_SIGN)
+        # The walk saturates, so no run QM allows breaches at any length.
+        assert len(seen) == 595
+        assert new_per_level == [18, 144, 360, 72, 0]
+        assert len({k for k, _ in seen}) == 43
+        assert breaches == 0
+        # The same walk on Spekkens' toy rule does breach: the walk can fail.
+        seen, new_per_level, breaches = _oracle_gate_walk(TOY_SIGN)
+        assert len(seen) == 595
+        assert new_per_level == [18, 144, 336, 84, 12, 0]
+        assert breaches == 48
 
 
 def test_criterion_10_state_count_bookkeeping():

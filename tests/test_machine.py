@@ -1,5 +1,7 @@
 """Mealy machine engine: stepping, enumeration, validation, JSON round-trips."""
 
+import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmtoy import pauli
+from pmtoy import extension, pauli
 from pmtoy.extension import (
     VARIANT_TRIGGERS,
     extended_machine,
@@ -417,8 +419,8 @@ REFERENCE_MACHINES = {
 # Every builder of a fixed machine, with the arguments it takes.
 CACHED_BUILDERS = {
     "spekkens16": (spekkens_machine, ()),
-    "extended32": (extended_machine, ()),
-    "extended32-randomized": (extended_machine, (True,)),
+    "extended32": (extension._extended_machine, (False,)),
+    "extended32-randomized": (extension._extended_machine, (True,)),
     "paper4": (four_state_machine, ()),
     **{f"variant-{kind}": (variant_machine, (kind,)) for kind in VARIANT_TRIGGERS},
     **{f"family-{name}": (build, ()) for name, build in FAMILIES.items()},
@@ -434,6 +436,27 @@ def test_each_fixed_machine_is_built_once_and_shared(name):
     assert fresh is not m
     assert fresh == m
     assert fresh.to_json() == m.to_json()
+
+
+def test_every_spelling_of_an_extended_machine_is_one_build(monkeypatch):
+    # On an empty cache, each machine is built once whatever the spelling.
+    builds = collections.Counter()
+    build = extension._ext_machine
+
+    def counted(name, successors):
+        builds[name] += 1
+        return build(name, successors)
+
+    monkeypatch.setattr(extension, "_ext_machine", counted)
+    fresh_cache = functools.cache(extension._extended_machine.__wrapped__)
+    monkeypatch.setattr(extension, "_extended_machine", fresh_cache)
+    skeleton = extended_machine()
+    assert extended_machine(False) is skeleton
+    assert extended_machine(randomized=False) is skeleton
+    randomized = extended_machine(randomized=True)
+    assert extended_machine(True) is randomized
+    assert randomized is not skeleton
+    assert builds == {"extended32": 1, "extended32-randomized": 1}
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MACHINES))
