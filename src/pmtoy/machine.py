@@ -12,8 +12,10 @@ exact.  `step` samples a successor by comparing its float draw with the
 cumulative weights exactly, as integers over the row's common
 denominator.  `enumerate_transcripts` weighs each run by an integer over
 one running denominator, the product of each step's common denominator,
-and gives each transcript one reduced `Fraction`.  Machines are immutable
-after construction and safe to share.
+and gives each transcript one reduced `Fraction`.  Machines and
+transcripts are checked `NamedTuple`s, immutable and safe to share:
+every way of building one (the constructor, `_make`, `_replace`,
+unpickling) runs its checks.
 
 Structural invariants are enforced at build time: a machine has a string
 name and at least one state, its states and tables are tuples, its labels
@@ -31,11 +33,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, NamedTuple, Sequence
 
 from . import pauli
 
@@ -126,16 +126,20 @@ def deterministic_row(successor: int) -> TransitionRow:
     return ((successor, _uniform_weight(1)),)
 
 
-@dataclass(frozen=True)
-class MealyMachine:
+class _MachineFields(NamedTuple):
     name: str
     states: tuple[str, ...]
     outputs: tuple[tuple[int, ...], ...]
     transitions: tuple[tuple[TransitionRow, ...], ...]
-    notes: tuple[str, ...] = field(default=(), compare=False)
+    notes: tuple[str, ...] = ()
+
+
+class MealyMachine(_MachineFields):
+    __slots__ = ()
     inputs: ClassVar[tuple[str, ...]] = pauli.OBSERVABLE_NAMES
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> MealyMachine:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.name, str):
             raise ValueError(f"machine name is not a string: {self.name!r:.40}")
         if not isinstance(self.states, tuple) or not all(isinstance(x, str) for x in self.states):
@@ -193,6 +197,20 @@ class MealyMachine:
                         f"distribution at ({self.states[s]},{self.inputs[i]}) "
                         f"sums to {Fraction(total, den)}"
                     )
+        return self
+
+    # `_replace` builds through `_make`, so it runs the checks too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    # Equal and hashed by all fields but `notes`; never equal to a plain tuple.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
 
     # `type` rather than `isinstance` for indices too: a bool is not one.
     def state_index(self, state: int | str) -> int:
@@ -301,16 +319,20 @@ def step(
     return out, row[-1][0]
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """One positive-probability run: inputs, outputs, weight, final state."""
-
+class _TranscriptFields(NamedTuple):
     inputs: tuple[str, ...]
     outputs: tuple[int, ...]
     probability: Fraction
     end_state: str
 
-    def __post_init__(self) -> None:
+
+class Transcript(_TranscriptFields):
+    """One positive-probability run: inputs, outputs, weight, final state."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> Transcript:
+        self = super().__new__(cls, *args, **kwargs)
         # Only what a machine emits: tuples (so a transcript hashes), outputs
         # the integer 1 or -1, and an exact positive weight.
         if not isinstance(self.inputs, tuple) or not isinstance(self.outputs, tuple):
@@ -323,6 +345,9 @@ class Transcript:
         p = self.probability
         if type(p) is not Fraction or p.numerator <= 0:
             raise ValueError("transcript probability must be a positive Fraction")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def enumerate_transcripts(

@@ -39,6 +39,9 @@ class PauliWord(NamedTuple("PauliWord", [("factor1", str), ("factor2", str)])):
                 raise ValueError(f"not a Pauli letter: {f!r}")
         return super().__new__(cls, factor1, factor2)
 
+    # `_replace` builds through `_make`, so it runs the letter check too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def __str__(self) -> str:
         return self.factor1 + self.factor2
 

@@ -38,8 +38,7 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import pauli
 from .extension import (
@@ -76,12 +75,11 @@ def _fields(report: object, **converted: object) -> dict:
     """A report's fields by name, as JSON: tuples as lists, the `converted` ones as given."""
     return {
         k: converted[k] if k in converted else list(v) if isinstance(v, tuple) else v
-        for k, v in vars(report).items()
+        for k, v in report._asdict().items()
     }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One witnessed breach of (R) or (C), replayable from its start state."""
 
     kind: str
@@ -135,8 +133,7 @@ def check_transcript(t: Transcript, start: str | None = None) -> list[Violation]
     return _check_run(t.inputs, t.outputs, start)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     machine: str
     depth: int
     sequences_checked: int
@@ -390,8 +387,7 @@ def refute_variant(kind: str) -> Violation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     family: str
     depth: int
     machines: tuple[MealyMachine, ...]

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -291,6 +292,54 @@ def test_transcript_holds_only_what_a_machine_emits(inputs, outputs, probability
     # Accepted, a list made a frozen transcript unhashable.
     with pytest.raises(ValueError, match=message):
         Transcript(inputs, outputs, probability, "e")
+
+
+def test_replace_runs_the_constructor_checks():
+    # `_replace` builds through `_make`, which must not skip a check.
+    m = _tiny_machine()
+    assert m._replace(name="tiny2") == _tiny_machine(name="tiny2")
+    with pytest.raises(ValueError, match="output table is not a tuple"):
+        m._replace(outputs=[tuple([+1] * 9)] * 2)
+    t = Transcript(("Z1",), (1,), Fraction(1), "e")
+    with pytest.raises(ValueError, match=r"not a \+/-1 outcome: 0"):
+        t._replace(outputs=(0,))
+
+
+def test_machine_equality_and_hash_ignore_notes():
+    m = four_state_machine()
+    assert m.notes
+    bare = m._replace(notes=())
+    assert bare == m and m == bare
+    assert not bare != m and not m != bare
+    assert hash(bare) == hash(m)
+    assert m != m._replace(name="other")
+
+
+def test_a_machine_never_equals_the_plain_tuple_of_its_fields():
+    m = four_state_machine()
+    for fields in (tuple(m), tuple(m)[:4]):
+        assert m != fields and fields != m
+        assert not m == fields and not fields == m
+
+
+def test_records_refuse_assignment():
+    m = _tiny_machine()
+    t = enumerate_transcripts(m, "p", ["Z1"])[0]
+    for record, field in ((m, "name"), (m, "notes"), (t, "outputs"), (t, "end_state")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    for record in (m, t):
+        with pytest.raises(AttributeError):
+            record.label = "x"
+
+
+def test_pickle_round_trips_a_machine_and_a_transcript():
+    m = four_state_machine()
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and again.notes == m.notes
+    assert again.to_json() == m.to_json()
+    for t in enumerate_transcripts(extended_machine(False), "++++/col", ["Z1", "X1X2"]):
+        assert pickle.loads(pickle.dumps(t)) == t
 
 
 def test_spekkens_first_output_constant_across_branches():

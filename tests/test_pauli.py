@@ -69,6 +69,12 @@ def test_pauli_word_is_an_immutable_checked_pair_of_letters():
             PauliWord(*letters)
 
 
+def test_pauli_word_replace_checks_the_letter():
+    assert PauliWord("Z", "I")._replace(factor2="X") == PauliWord("Z", "X")
+    with pytest.raises(ValueError, match="not a Pauli letter"):
+        PauliWord("Z", "I")._replace(factor1="Q")
+
+
 def test_commutes_examples():
     assert commutes(PauliWord("Z", "Z"), PauliWord("X", "X"))
     assert not commutes(PauliWord("Z", "I"), PauliWord("X", "I"))

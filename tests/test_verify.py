@@ -331,13 +331,14 @@ def test_a_repeat_refutation_constructs_no_machine(monkeypatch):
     kinds = sorted(VARIANT_TRIGGERS)
     first = [refute_variant(kind) for kind in kinds]
     built = []
-    post_init = MealyMachine.__post_init__
+    new = MealyMachine.__new__
 
-    def counting(self):
-        built.append(self.name)
-        post_init(self)
+    def counting(cls, *args, **kwargs):
+        m = new(cls, *args, **kwargs)
+        built.append(m.name)
+        return m
 
-    monkeypatch.setattr(MealyMachine, "__post_init__", counting)
+    monkeypatch.setattr(MealyMachine, "__new__", counting)
     assert [refute_variant(kind) for kind in kinds] == first
     assert built == []
     # The wrapper does see a construction: a fresh build is counted.
