@@ -13,16 +13,21 @@ There is one quantum oracle, and it is exact: `measure_knowledge` and
 (observable, value) pairs; with `PRESCRIBED_SIGN` the rule is sequential
 projective measurement (the Lueders rule) from the maximally mixed state,
 and with every context sign +1 (`toy.TOY_SIGN`) it is Spekkens' toy
-model.  `qm_outcome_tree` and `tree_transcripts` are thin names over
+model.  Every run weight is 1/2^j, so `knowledge_runs` carries each
+run's integer denominator 2^j and builds one `Fraction` per run at the
+end.  `qm_outcome_tree` and `tree_transcripts` are thin names over
 `knowledge_runs`, left for the benchmark's `oracle-trees` workload.
 No matrix is built anywhere in the package.
+
+`fractions` is imported only by the two functions that build a
+`Fraction`, so `ks-scan` does not load it.  Annotations are never
+evaluated, so they name `Fraction` all the same.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
@@ -115,13 +120,13 @@ CONTEXT_SETS: Mapping[frozenset[str], int] = {
 Knowledge = frozenset[tuple[str, int]]
 
 
-def measure_knowledge(
-    k: Knowledge, name: str, signs: Mapping[str, int] = PRESCRIBED_SIGN
-) -> list[tuple[int, Fraction, Knowledge]]:
-    """The (value, weight, next state) branches of measuring `name` in state k.
+def _branches(
+    k: Knowledge, name: str, signs: Mapping[str, int]
+) -> list[tuple[int, Knowledge]]:
+    """The (value, next state) branches of measuring `name` in state k.
 
-    A fixed value comes out with weight 1.  Otherwise each value v has
-    weight 1/2, and the next state keeps the fixed values compatible with
+    A fixed value gives one branch, with k unchanged.  Otherwise each value
+    v gives one, and the next state keeps the fixed values compatible with
     `name`, adds name = v, and fixes the third member of any context with
     two fixed members to the context's sign times their product.
     """
@@ -129,7 +134,7 @@ def measure_knowledge(
         raise ValueError(f"not a PM observable: {name!r}")
     fixed = dict(k)
     if name in fixed:
-        return [(fixed[name], Fraction(1), k)]
+        return [(fixed[name], k)]
     branches = []
     for v in (+1, -1):
         nxt = {o: w for o, w in fixed.items() if o in COMMUTING[name]}
@@ -140,23 +145,46 @@ def measure_knowledge(
             if len(unknown) == 1:
                 a, b = (nxt[o] for o in names if o in nxt)
                 nxt[unknown[0]] = signs[ctx] * a * b
-        branches.append((v, Fraction(1, 2), frozenset(nxt.items())))
+        branches.append((v, frozenset(nxt.items())))
     return branches
+
+
+def measure_knowledge(
+    k: Knowledge, name: str, signs: Mapping[str, int] = PRESCRIBED_SIGN
+) -> list[tuple[int, Fraction, Knowledge]]:
+    """The (value, weight, next state) branches of measuring `name` in state k.
+
+    A fixed value comes out with weight 1, and each value of an unfixed
+    observable with weight 1/2.
+    """
+    from fractions import Fraction
+
+    branches = _branches(k, name, signs)
+    w = Fraction(1, len(branches))
+    return [(v, w, nxt) for v, nxt in branches]
 
 
 def knowledge_runs(
     seq: Sequence[str], signs: Mapping[str, int] = PRESCRIBED_SIGN
 ) -> dict[tuple[int, ...], Fraction]:
-    """Exact weight of every outcome sequence of `seq`, from the empty state."""
+    """Exact weight of every outcome sequence of `seq`, from the empty state.
+
+    Every weight is 1/2^j, so a run carries its integer denominator 2^j,
+    multiplied by each step's branch count, and gets one `Fraction` at the
+    end.
+    """
+    from fractions import Fraction
+
     # The outcomes so far determine the knowledge state, so each run carries one.
-    runs = {(): (Fraction(1), frozenset())}
+    runs = {(): (1, frozenset())}
     for name in seq:
-        runs = {
-            outs + (v,): (w * p, nxt)
-            for outs, (w, k) in runs.items()
-            for v, p, nxt in measure_knowledge(k, name, signs)
-        }
-    return {outs: w for outs, (w, _) in runs.items()}
+        grown = {}
+        for outs, (den, k) in runs.items():
+            branches = _branches(k, name, signs)
+            for v, nxt in branches:
+                grown[outs + (v,)] = (den * len(branches), nxt)
+        runs = grown
+    return {outs: Fraction(1, den) for outs, (den, _) in runs.items()}
 
 
 def qm_outcome_tree(seq: Sequence[str]) -> dict[tuple[int, ...], Fraction]:

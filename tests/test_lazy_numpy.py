@@ -124,7 +124,7 @@ def test_each_subcommand_imports_only_what_it_runs():
     # One interpreter runs the commands in order of growing footprint and
     # lists, after each, the pmtoy modules and the costly stdlib ones loaded
     # since start-up.  No stage loads `dataclasses`, or the `inspect` it
-    # would import.
+    # would import.  `ks-scan` does not load `fractions`; `machine` does.
     stages = [
         ["ks-scan", "--format", "json"],
         ["simulate", "--machine", "extended32", "--start", "a",
@@ -141,7 +141,7 @@ def test_each_subcommand_imports_only_what_it_runs():
 
         def loaded():
             new = set(sys.modules) - baseline
-            return sorted(m for m in new if m.partition(".")[0] in ("pmtoy", "csv", "dataclasses", "inspect"))
+            return sorted(m for m in new if m.partition(".")[0] in ("pmtoy", "csv", "dataclasses", "fractions", "inspect"))
 
         import pmtoy.cli
         seen = [loaded()]
@@ -154,6 +154,6 @@ def test_each_subcommand_imports_only_what_it_runs():
     seen = [set(mods) for mods in json.loads(run_fresh(script))]
     cli = {"pmtoy", "pmtoy.cli"}
     scan = cli | {"pmtoy.pauli"}
-    machines = scan | {"pmtoy.machine", "pmtoy.toy", "pmtoy.extension"}
+    machines = scan | {"pmtoy.machine", "pmtoy.toy", "pmtoy.extension", "fractions"}
     verifier = machines | {"pmtoy.verify"}
     assert seen == [cli, scan, machines, machines, verifier, verifier, verifier, verifier | {"csv"}]

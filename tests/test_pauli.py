@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pmtoy.pauli import (
     qm_outcome_tree,
     tree_transcripts,
 )
+from pmtoy.toy import TOY_SIGN
 
 
 def test_sixteen_distinct_words():
@@ -248,6 +250,32 @@ def test_knowledge_runs_equal_the_float_oracle():
     for seq in [*short, *length4]:
         exact = {outs: float(w) for outs, w in knowledge_runs(seq).items()}
         assert exact == lueders_runs(seq), seq
+
+
+def _fraction_runs(seq, signs):
+    """`knowledge_runs` as a step-by-step fold of `measure_knowledge`'s `Fraction` weights."""
+    runs = {(): (Fraction(1), frozenset())}
+    for name in seq:
+        runs = {
+            outs + (v,): (w * p, nxt)
+            for outs, (w, k) in runs.items()
+            for v, p, nxt in measure_knowledge(k, name, signs)
+        }
+    return {outs: w for outs, (w, _) in runs.items()}
+
+
+@pytest.mark.parametrize("signs", [PRESCRIBED_SIGN, TOY_SIGN], ids=["qm", "toy"])
+def test_knowledge_runs_match_the_fraction_fold(signs):
+    # Same values, each a Fraction, in the same key order: every sequence
+    # of length 1-3 and every 7th of length 4.
+    short = [
+        seq for n in (1, 2, 3) for seq in itertools.product(OBSERVABLE_NAMES, repeat=n)
+    ]
+    length4 = itertools.islice(itertools.product(OBSERVABLE_NAMES, repeat=4), 0, None, 7)
+    for seq in [*short, *length4]:
+        runs, reference = knowledge_runs(seq, signs), _fraction_runs(seq, signs)
+        assert list(runs.items()) == list(reference.items()), seq
+        assert all(type(w) is Fraction for w in runs.values()), seq
 
 
 def test_outcome_tree_is_the_knowledge_rule():
